@@ -2,7 +2,7 @@
 // hot path measurably faster") and the engine-evaluation fast path. For
 // each hot path it times the seed implementation (replicated below as the
 // `ref` baselines, in tests/cdb/seed_engine_ref.h for the engine, or
-// reached via DdpgOptions::batched_training = false) against the rewrite,
+// reached via Ddpg::TrainStepPerSample) against the rewrite,
 // asserts the two agree (ML paths to 1e-9; the engine fast path — flat
 // intrusive LRU, cached Zipf samplers, bit-exact early-exit fixed point —
 // bit for bit at tolerance 0.0), and writes machine-readable
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "cdb/buffer_pool.h"
-#include "cdb/cdb_instance.h"
 #include "cdb/instance_type.h"
 #include "cdb/knob_catalog.h"
 #include "cdb/simulated_engine.h"
@@ -394,8 +393,8 @@ class RandomForest {
 
 // The seed GaussianProcess, kept verbatim: allocating per-row kernel loops,
 // a full O(n^3) refactorization on every Fit, and the two-pass
-// (forward + back substitution) variance in Predict. The incremental GP must
-// match its predictions to 1e-9 and its EI scores bit-for-near-bit.
+// (forward + back substitution) variance in Predict. The GP must match its
+// predictions and EI scores to 1e-9.
 class SeedGp {
  public:
   explicit SeedGp(hunter::ml::GpOptions options = {}) : options_(options) {}
@@ -738,20 +737,19 @@ void BenchMlpStep(bool smoke) {
               optimized_ms);
 }
 
-hunter::ml::DdpgOptions MakeDdpgOptions(bool batched) {
+hunter::ml::DdpgOptions MakeDdpgOptions() {
   hunter::ml::DdpgOptions options;
   options.state_dim = 63;
   options.action_dim = 20;
   options.actor_hidden = {64, 64};
   options.critic_hidden = {64, 64};
   options.batch_size = 32;
-  options.batched_training = batched;
   return options;
 }
 
-hunter::ml::Ddpg MakeAgent(bool batched, uint64_t seed) {
+hunter::ml::Ddpg MakeAgent(uint64_t seed) {
   Rng rng(seed);
-  return hunter::ml::Ddpg(MakeDdpgOptions(batched), &rng);
+  return hunter::ml::Ddpg(MakeDdpgOptions(), &rng);
 }
 
 template <typename AgentT>
@@ -779,9 +777,9 @@ void BenchDdpg(bool smoke) {
   // in-tree per-sample path, and the batched path; per-step losses and the
   // final policy must agree across all of them.
   Rng seed_rng(0xBEEF03);
-  ref::SeedDdpg seed_agent(MakeDdpgOptions(/*batched=*/false), &seed_rng);
-  hunter::ml::Ddpg scalar_agent = MakeAgent(/*batched=*/false, 0xBEEF03);
-  hunter::ml::Ddpg batched_agent = MakeAgent(/*batched=*/true, 0xBEEF03);
+  ref::SeedDdpg seed_agent(MakeDdpgOptions(), &seed_rng);
+  hunter::ml::Ddpg scalar_agent = MakeAgent(0xBEEF03);
+  hunter::ml::Ddpg batched_agent = MakeAgent(0xBEEF03);
   PrefillAgent(&seed_agent, 256, 0xBEEF04);
   PrefillAgent(&scalar_agent, 256, 0xBEEF04);
   PrefillAgent(&batched_agent, 256, 0xBEEF04);
@@ -790,7 +788,7 @@ void BenchDdpg(bool smoke) {
   double seed_loss_diff = 0.0;
   for (int i = 0; i < equiv_steps; ++i) {
     const double seed_loss = seed_agent.TrainStep();
-    const double scalar_loss = scalar_agent.TrainStep();
+    const double scalar_loss = scalar_agent.TrainStepPerSample();
     const double batched_loss = batched_agent.TrainStep();
     scalar_loss_diff =
         std::max(scalar_loss_diff, std::abs(scalar_loss - batched_loss));
@@ -812,7 +810,8 @@ void BenchDdpg(bool smoke) {
   // per-sample path (which already shares the buffer-indexing and Adam
   // improvements) against the batched one.
   const double seed_ms = TimeMs([&] { seed_agent.TrainStep(); }, iters);
-  const double scalar_ms = TimeMs([&] { scalar_agent.TrainStep(); }, iters);
+  const double scalar_ms =
+      TimeMs([&] { scalar_agent.TrainStepPerSample(); }, iters);
   const double batched_ms = TimeMs([&] { batched_agent.TrainStep(); }, iters);
   RecordBench("ddpg_train_step", "state 63, action 20, batch 32, hidden 64x64",
               seed_ms, batched_ms);
@@ -909,21 +908,20 @@ void BenchForest(bool smoke) {
               baseline_ms, optimized_ms, pool.num_threads());
 }
 
-void BenchGpFit(bool smoke) {
+void CheckGpFit(bool smoke) {
   // The BO tuners' steady state: one new observation per Observe, one Fit
-  // per observation over the growing sample window. The baseline pays a
-  // full refactorization per step; the incremental GP grows its factor.
+  // per observation over the growing sample window. After the growth loop
+  // the GP's posterior must match the seed GP's to 1e-9.
   const size_t n = smoke ? 24 : 120;
   const size_t d = smoke ? 8 : 48;
   const size_t n0 = 4;  // observations fitted before the growth loop
-  const int iters = smoke ? 1 : 3;
   Rng data_rng(0xBEEF09);
   Matrix x;
   std::vector<double> y;
   MakeRegressionData(n, d, &data_rng, &x, &y);
 
-  // Both paths rebuild the prefix matrix per step, exactly like the tuners
-  // rebuild their window matrix per Observe; only Fit's cost differs.
+  // Rebuild the prefix matrix per step, exactly like the tuners rebuild
+  // their window matrix per Observe.
   auto prefix_x = [&](size_t m) {
     Matrix p(m, d);
     for (size_t r = 0; r < m; ++r) {
@@ -935,13 +933,11 @@ void BenchGpFit(bool smoke) {
     return std::vector<double>(y.begin(), y.begin() + static_cast<long>(m));
   };
 
-  // Equivalence: run the growth loop once on each path and compare the
-  // final posteriors at random probes.
   ref::SeedGp seed_gp;
-  hunter::ml::GaussianProcess inc_gp;
+  hunter::ml::GaussianProcess gp;
   for (size_t m = n0; m <= n; ++m) {
     seed_gp.Fit(prefix_x(m), prefix_y(m));
-    inc_gp.Fit(prefix_x(m), prefix_y(m));
+    gp.Fit(prefix_x(m), prefix_y(m));
   }
   Rng probe_rng(0xBEEF10);
   double diff = 0.0;
@@ -949,38 +945,13 @@ void BenchGpFit(bool smoke) {
     std::vector<double> probe(d);
     for (double& v : probe) v = probe_rng.Uniform(0.0, 1.0);
     const auto seed_pred = seed_gp.Predict(probe);
-    const auto inc_pred = inc_gp.Predict(probe);
-    diff = std::max(diff, std::abs(seed_pred.mean - inc_pred.mean));
-    diff = std::max(diff, std::abs(seed_pred.variance - inc_pred.variance));
+    const auto pred = gp.Predict(probe);
+    diff = std::max(diff, std::abs(seed_pred.mean - pred.mean));
+    diff = std::max(diff, std::abs(seed_pred.variance - pred.variance));
     diff = std::max(diff, std::abs(seed_gp.ExpectedImprovement(probe, 0.5) -
-                                   inc_gp.ExpectedImprovement(probe, 0.5)));
+                                   gp.ExpectedImprovement(probe, 0.5)));
   }
-  RecordEquiv("gp_incremental_vs_seed", diff, 1e-9);
-  // The growth loop must actually have taken the rank-1 append path (one
-  // full refit at n0, one append per later step); a silent fallback to
-  // full refits would make the timing below meaningless.
-  const double expected_appends = static_cast<double>(n - n0);
-  RecordEquiv("gp_incremental_path_used",
-              std::abs(static_cast<double>(inc_gp.incremental_updates()) -
-                       expected_appends),
-              0.0);
-
-  const double baseline_ms = TimeMs(
-      [&] {
-        ref::SeedGp gp;
-        for (size_t m = n0; m <= n; ++m) gp.Fit(prefix_x(m), prefix_y(m));
-      },
-      iters);
-  const double optimized_ms = TimeMs(
-      [&] {
-        hunter::ml::GaussianProcess gp;
-        for (size_t m = n0; m <= n; ++m) gp.Fit(prefix_x(m), prefix_y(m));
-      },
-      iters);
-  RecordBench("gp_fit_incremental",
-              "grow " + std::to_string(n0) + "->" + std::to_string(n) +
-                  " obs, d=" + std::to_string(d),
-              baseline_ms, optimized_ms);
+  RecordEquiv("gp_fit_vs_seed", diff, 1e-9);
 }
 
 void BenchGpEiBatch(bool smoke) {
@@ -1036,73 +1007,6 @@ void BenchGpEiBatch(bool smoke) {
   RecordBench("gp_ei_batch",
               std::to_string(candidates) + " candidates, n=" +
                   std::to_string(n) + ", d=" + std::to_string(d),
-              baseline_ms, optimized_ms);
-}
-
-void BenchEngineEvalCached(bool smoke) {
-  // The fault-retry path: a straggler's cancelled run is rolled back and
-  // re-dispatched, so the clone re-evaluates the identical (config,
-  // workload, warmth, RNG position) key. With the memo cache the replay is
-  // a lookup; without it the engine runs again. Results must match exactly
-  // either way — the cache saves real CPU, never changes an answer.
-  const int iters = smoke ? 1 : 5;
-  const int cycles = smoke ? 2 : 4;  // snapshot/run/rollback/re-run pairs
-  const hunter::cdb::KnobCatalog catalog = hunter::cdb::MySqlCatalog();
-  const hunter::cdb::WorkloadProfile workload;  // engine defaults
-
-  auto make_instance = [&](bool cached, uint64_t seed) {
-    auto inst = std::make_unique<hunter::cdb::CdbInstance>(
-        &catalog, hunter::cdb::MySqlEvaluationInstance(),
-        hunter::cdb::MySqlEngineTuning(), seed);
-    inst->set_eval_cache_enabled(cached);
-    return inst;
-  };
-
-  // Equivalence: a rolled-back replay served from the cache must equal the
-  // original run bit for bit, and a cache-off instance from the same seed
-  // must produce the same results (the cache never changes an answer).
-  auto run_cycles = [&](hunter::cdb::CdbInstance* inst,
-                        std::vector<double>* out) {
-    out->clear();
-    for (int cyc = 0; cyc < cycles; ++cyc) {
-      const auto snapshot = inst->CaptureState();
-      const hunter::cdb::PerfResult first = inst->StressTest(workload);
-      inst->RestoreState(snapshot);
-      const hunter::cdb::PerfResult replay = inst->StressTest(workload);
-      for (const hunter::cdb::PerfResult* r : {&first, &replay}) {
-        out->push_back(r->throughput_tps);
-        out->push_back(r->latency_p95_ms);
-        out->push_back(r->latency_p99_ms);
-        out->insert(out->end(), r->metrics.begin(), r->metrics.end());
-      }
-    }
-  };
-  std::vector<double> cached_results;
-  std::vector<double> uncached_results;
-  {
-    auto inst = make_instance(/*cached=*/true, 0xBEEF12);
-    run_cycles(inst.get(), &cached_results);
-    RecordEquiv("engine_cache_hits_seen",
-                std::abs(static_cast<double>(inst->eval_cache_stats().hits) -
-                         static_cast<double>(cycles)),
-                0.0);
-  }
-  {
-    auto inst = make_instance(/*cached=*/false, 0xBEEF12);
-    run_cycles(inst.get(), &uncached_results);
-  }
-  RecordEquiv("engine_cached_vs_real",
-              MaxAbsDiff(cached_results, uncached_results), 0.0);
-
-  auto cached_inst = make_instance(/*cached=*/true, 0xBEEF13);
-  auto uncached_inst = make_instance(/*cached=*/false, 0xBEEF13);
-  std::vector<double> scratch;
-  const double baseline_ms = TimeMs(
-      [&] { run_cycles(uncached_inst.get(), &scratch); }, iters);
-  const double optimized_ms = TimeMs(
-      [&] { run_cycles(cached_inst.get(), &scratch); }, iters);
-  RecordBench("engine_eval_cached",
-              std::to_string(cycles) + " run+rolled-back-replay cycles",
               baseline_ms, optimized_ms);
 }
 
@@ -1454,9 +1358,9 @@ void BenchGemmSimd(bool smoke) {
 }
 
 void BenchGpKernelSimd(bool smoke) {
-  // The GP's vectorized kernels end to end: gram build and Cholesky append
-  // (SquaredDistInto + CholeskyDowndate4) inside Fit, then the GEMM-backed
-  // cross-covariance and squared-distance expansion inside
+  // The GP's vectorized kernels end to end: the Gram GEMM and the
+  // squared-distance expansion (SquaredDistInto) inside Fit, then the
+  // GEMM-backed cross-covariance and squared-distance expansion inside
   // ExpectedImprovementBatch.
   const size_t n = smoke ? 24 : 120;
   const size_t d = smoke ? 8 : 48;
@@ -1642,12 +1546,11 @@ int main(int argc, char** argv) {
   BenchMlpStep(smoke);
   BenchDdpg(smoke);
   BenchForest(smoke);
-  BenchGpFit(smoke);
+  CheckGpFit(smoke);
   BenchGpEiBatch(smoke);
   BenchZipfDraw(smoke);
   BenchBufferPoolReplay(smoke);
   BenchEngineEvalCold(smoke);
-  BenchEngineEvalCached(smoke);
   BenchPca(smoke);
   BenchGemmSimd(smoke);
   BenchGpKernelSimd(smoke);

@@ -10,11 +10,8 @@
 #ifndef HUNTER_CDB_CDB_INSTANCE_H_
 #define HUNTER_CDB_CDB_INSTANCE_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "cdb/knob.h"
 #include "cdb/simulated_engine.h"
@@ -62,8 +59,8 @@ class CdbInstance {
   // ---- Pre-run state snapshots --------------------------------------
   // Everything a stress test consumes besides the (deployed) configuration
   // and the workload. The Actor captures one before each StressTest so a
-  // cancelled attempt (straggler timeout) can be rolled back — the retry is
-  // then an exact replay, which is also what makes it memoizable below.
+  // cancelled attempt (straggler timeout) can be rolled back: the retry is
+  // then an exact replay and yields the sample the cancelled run would have.
   struct StateSnapshot {
     common::Rng rng;
     bool warm = false;
@@ -74,38 +71,9 @@ class CdbInstance {
     warm_ = snapshot.warm;
   }
 
-  // ---- Steady-state memo cache --------------------------------------
-  // StressTest memoizes on (active config, workload spec, warm flag, RNG
-  // stream position): a repeat evaluation with an identical key is a
-  // deterministic replay, so the cached PerfResult and post-run RNG state
-  // are returned without re-running the engine. This caches *real CPU
-  // only* — the caller still charges the same simulated deploy/execution/
-  // collection time, and the key's RNG component guarantees the returned
-  // result is byte-identical to what the engine would have produced.
-  // Lookup and hit/miss accounting run even when disabled (the flag only
-  // gates the short-circuit), so journals are byte-identical on vs off.
-  struct EvalCacheStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-  void set_eval_cache_enabled(bool enabled) { eval_cache_enabled_ = enabled; }
-  bool eval_cache_enabled() const { return eval_cache_enabled_; }
-  const EvalCacheStats& eval_cache_stats() const { return eval_cache_stats_; }
-
-  // ---- Buffer-pool reuse accounting ---------------------------------
-  // The engine re-arms one long-lived pool per evaluation (Reset) instead
-  // of constructing one; `slab_reuses` counts how many of those re-arms
-  // reused the existing slabs without allocating. Accounted here rather
-  // than read straight off the engine so the numbers are byte-identical
-  // whether the eval cache is enabled or not: a served hit charges the
-  // (1 reset, 1 reuse) the skipped replay would have produced — the first
-  // occurrence of the same configuration already grew the slabs to size,
-  // and slabs never shrink, so the replay's Reset is always a reuse.
-  struct PoolStats {
-    uint64_t resets = 0;
-    uint64_t slab_reuses = 0;
-  };
-  const PoolStats& pool_stats() const { return pool_stats_; }
+  // The engine, for its buffer-pool reuse counters (pool_resets(),
+  // pool_slab_reuses()).
+  const SimulatedEngine& engine() const { return engine_; }
 
   // Deployment cost constants (simulated seconds, from the paper's
   // Table 1: knob deployment averages 21.3 s).
@@ -114,32 +82,12 @@ class CdbInstance {
   static constexpr double kWarmupSeconds = 5.0;  // §5: ~5 s for Sysbench
 
  private:
-  struct EvalCacheEntry {
-    Configuration config;
-    WorkloadProfile workload;
-    bool warm = false;
-    std::array<uint64_t, 6> rng_fingerprint{};
-    PerfResult result;
-    common::Rng rng_after;
-    // Whether the memoized run armed the pool (false for boot failures,
-    // which return before touching it); a served hit replays this much.
-    bool pool_reset = false;
-  };
-  // Retries arrive within a round, so a handful of entries is plenty.
-  static constexpr size_t kEvalCacheCapacity = 8;
-
   const KnobCatalog* catalog_;  // not owned
   SimulatedEngine engine_;
   Configuration config_;
   common::Rng rng_;
   bool warm_ = false;  // buffer pool content survives via warm-up function
   uint64_t restarts_ = 0;
-
-  std::vector<EvalCacheEntry> eval_cache_;
-  size_t eval_cache_next_ = 0;  // ring-replacement cursor
-  bool eval_cache_enabled_ = true;
-  EvalCacheStats eval_cache_stats_;
-  PoolStats pool_stats_;
 };
 
 }  // namespace hunter::cdb

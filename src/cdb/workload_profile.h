@@ -31,11 +31,6 @@ struct WorkloadProfile {
   // Concurrency ceiling imposed by the client (e.g., the transaction
   // dependency graph of a Production replay); 0 = unbounded.
   double max_replay_parallelism = 0.0;
-
-  // Exact field-wise equality — the workload-spec component of the
-  // simulated engine's steady-state memo key.
-  friend bool operator==(const WorkloadProfile&,
-                         const WorkloadProfile&) = default;
 };
 
 }  // namespace hunter::cdb

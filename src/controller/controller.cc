@@ -1,6 +1,7 @@
 #include "controller/controller.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <deque>
 #include <future>
@@ -23,6 +24,36 @@ struct LaneCharge {
   std::vector<obs::Attr> attrs;
 };
 
+// Assigns a round's work items to actors: returns, for each actor, the
+// position in `preferred_lanes` of the item it runs, or -1 if it idles. An
+// item with a preferred lane (a rolled-back straggler retry) runs there. Any
+// other item runs on the lane of its own position unless that lane is
+// claimed; then it moves to its claimer's position, following the chain of
+// claims to an unclaimed lane. Claims are distinct: each lane cancels at
+// most one attempt per round, and every retry runs in the next round.
+std::vector<int> AssignLanes(const std::vector<int>& preferred_lanes,
+                             size_t num_actors) {
+  std::vector<int> claimer(num_actors, -1);
+  for (size_t k = 0; k < preferred_lanes.size(); ++k) {
+    if (preferred_lanes[k] >= 0) {
+      claimer[static_cast<size_t>(preferred_lanes[k])] = static_cast<int>(k);
+    }
+  }
+  std::vector<int> item_on_lane(num_actors, -1);
+  for (size_t k = 0; k < preferred_lanes.size(); ++k) {
+    int lane = preferred_lanes[k];
+    if (lane < 0) {
+      lane = static_cast<int>(k);
+      while (claimer[static_cast<size_t>(lane)] >= 0) {
+        lane = claimer[static_cast<size_t>(lane)];
+      }
+    }
+    assert(item_on_lane[static_cast<size_t>(lane)] < 0);
+    item_on_lane[static_cast<size_t>(lane)] = static_cast<int>(k);
+  }
+  return item_on_lane;
+}
+
 }  // namespace
 
 Controller::Controller(std::unique_ptr<cdb::CdbInstance> user_instance,
@@ -41,8 +72,6 @@ Controller::Controller(std::unique_ptr<cdb::CdbInstance> user_instance,
   const int clones = std::max(1, options.num_clones);
   const common::FaultInjector* injector =
       injector_.enabled() ? &injector_ : nullptr;
-  // Clones inherit the memo-cache policy from the user instance.
-  user_instance_->set_eval_cache_enabled(options.engine_memo_cache);
   actors_.reserve(static_cast<size_t>(clones));
   for (int i = 0; i < clones; ++i) {
     actors_.push_back(std::make_unique<Actor>(
@@ -77,16 +106,13 @@ Controller::Controller(std::unique_ptr<cdb::CdbInstance> user_instance,
       metrics_registry_.RegisterHistogram("controller.round_seconds");
   clone_utilization_hist_ =
       metrics_registry_.RegisterHistogram("controller.clone_utilization");
-  eval_cache_hits_counter_ =
-      metrics_registry_.RegisterCounter("engine.eval_cache_hits");
-  eval_cache_misses_counter_ =
-      metrics_registry_.RegisterCounter("engine.eval_cache_misses");
   pool_resets_counter_ =
       metrics_registry_.RegisterCounter("engine.pool_resets");
   pool_slab_reuses_counter_ =
       metrics_registry_.RegisterCounter("engine.pool_slab_reuses");
-  lane_cache_seen_.resize(actors_.size());
-  lane_pool_seen_.resize(actors_.size());
+  for (size_t l = 0; l < actors_.size(); ++l) {
+    lane_pool_seen_.push_back(LanePoolCounts(l));
+  }
 }
 
 const cdb::PerformanceSummary& Controller::DefaultPerformance() {
@@ -120,39 +146,25 @@ void Controller::ReplaceActor(size_t lane) {
       injector_.enabled() ? &injector_ : nullptr;
   actors_[lane] = std::make_unique<Actor>(
       user_instance_->Clone(), options_.alpha, next_clone_id_++, injector);
-  lane_cache_seen_[lane] = {};  // fresh clone, fresh cache stats
-  lane_pool_seen_[lane] = {};
+  lane_pool_seen_[lane] = LanePoolCounts(lane);
   ++fault_stats_.reclones;
   reclones_counter_->Increment();
 }
 
-void Controller::HarvestEvalCacheStats() {
-  for (size_t l = 0; l < actors_.size(); ++l) {
-    const cdb::CdbInstance::EvalCacheStats& now =
-        actors_[l]->instance().eval_cache_stats();
-    cdb::CdbInstance::EvalCacheStats& seen = lane_cache_seen_[l];
-    if (now.hits > seen.hits) {
-      eval_cache_hits_counter_->Increment(
-          static_cast<double>(now.hits - seen.hits));
-    }
-    if (now.misses > seen.misses) {
-      eval_cache_misses_counter_->Increment(
-          static_cast<double>(now.misses - seen.misses));
-    }
-    seen = now;
+Controller::PoolCounts Controller::LanePoolCounts(size_t lane) const {
+  const cdb::SimulatedEngine& engine = actors_[lane]->instance().engine();
+  return {engine.pool_resets(), engine.pool_slab_reuses()};
+}
 
-    const cdb::CdbInstance::PoolStats& pool_now =
-        actors_[l]->instance().pool_stats();
-    cdb::CdbInstance::PoolStats& pool_seen = lane_pool_seen_[l];
-    if (pool_now.resets > pool_seen.resets) {
-      pool_resets_counter_->Increment(
-          static_cast<double>(pool_now.resets - pool_seen.resets));
-    }
-    if (pool_now.slab_reuses > pool_seen.slab_reuses) {
-      pool_slab_reuses_counter_->Increment(
-          static_cast<double>(pool_now.slab_reuses - pool_seen.slab_reuses));
-    }
-    pool_seen = pool_now;
+void Controller::HarvestPoolStats() {
+  for (size_t l = 0; l < actors_.size(); ++l) {
+    const PoolCounts now = LanePoolCounts(l);
+    PoolCounts& seen = lane_pool_seen_[l];
+    pool_resets_counter_->Increment(
+        static_cast<double>(now.resets - seen.resets));
+    pool_slab_reuses_counter_->Increment(
+        static_cast<double>(now.slab_reuses - seen.slab_reuses));
+    seen = now;
   }
 }
 
@@ -182,34 +194,38 @@ std::vector<Sample> Controller::EvaluateBatch(
   }
 
   while (!queue.empty()) {
+    // Lane l of the round runs items[l] on actor actor_of[l], in actor
+    // order. A rolled-back straggler retry must land on the clone that was
+    // rolled back for the replay to be exact (see AssignLanes).
     const size_t lanes = std::min(queue.size(), actors_.size());
-    std::vector<WorkItem> items(queue.begin(),
-                                queue.begin() + static_cast<long>(lanes));
-    queue.erase(queue.begin(), queue.begin() + static_cast<long>(lanes));
-
-    // Honor lane affinity: a rolled-back straggler retry must land on the
-    // clone that was rolled back for the replay (and thus the memo hit) to
-    // materialize. First claimant wins a contested lane.
-    for (size_t i = 0; i < lanes; ++i) {
-      const int p = items[i].preferred_lane;
-      if (p >= 0 && static_cast<size_t>(p) < lanes &&
-          static_cast<size_t>(p) != i &&
-          items[static_cast<size_t>(p)].preferred_lane < 0) {
-        std::swap(items[i], items[static_cast<size_t>(p)]);
-      }
+    std::vector<int> preferred_lanes(lanes);
+    for (size_t k = 0; k < lanes; ++k) {
+      preferred_lanes[k] = queue[k].preferred_lane;
     }
+    const std::vector<int> item_on_lane =
+        AssignLanes(preferred_lanes, actors_.size());
+    std::vector<WorkItem> items;
+    std::vector<size_t> actor_of;
+    for (size_t a = 0; a < actors_.size(); ++a) {
+      if (item_on_lane[a] < 0) continue;
+      items.push_back(queue[static_cast<size_t>(item_on_lane[a])]);
+      actor_of.push_back(a);
+    }
+    queue.erase(queue.begin(), queue.begin() + static_cast<long>(lanes));
 
     // The lane names key on the clone that ran the attempt; capture before
     // any permanent death swaps the actor out.
     std::vector<int> clone_ids(lanes);
-    for (size_t l = 0; l < lanes; ++l) clone_ids[l] = actors_[l]->clone_id();
+    for (size_t l = 0; l < lanes; ++l) {
+      clone_ids[l] = actors_[actor_of[l]]->clone_id();
+    }
 
     std::vector<Actor::AttemptOutcome> outcomes(lanes);
     if (pool_ != nullptr) {
       std::vector<std::future<void>> futures;
       futures.reserve(lanes);
       for (size_t l = 0; l < lanes; ++l) {
-        Actor* actor = actors_[l].get();
+        Actor* actor = actors_[actor_of[l]].get();
         const std::vector<double>* config =
             &normalized_configs[items[l].index];
         Actor::AttemptOutcome* out = &outcomes[l];
@@ -220,14 +236,13 @@ std::vector<Sample> Controller::EvaluateBatch(
       for (auto& future : futures) future.get();
     } else {
       for (size_t l = 0; l < lanes; ++l) {
-        outcomes[l] =
-            actors_[l]->Attempt(normalized_configs[items[l].index], workload_,
-                                defaults);
+        outcomes[l] = actors_[actor_of[l]]->Attempt(
+            normalized_configs[items[l].index], workload_, defaults);
       }
     }
-    // Sweep cache stats before any permanent death swaps an actor out (its
+    // Sweep pool stats before any permanent death swaps an actor out (its
     // final attempt must still be counted).
-    HarvestEvalCacheStats();
+    HarvestPoolStats();
 
     // The round costs as much as its slowest lane (all clones run in
     // parallel); each lane additionally pays its item's backoff and any
@@ -273,9 +288,9 @@ std::vector<Sample> Controller::EvaluateBatch(
             // with affinity for this lane; the abandoned run cost deploy +
             // timeout.
             // Roll the clone back to its pre-run state: a cancelled run
-            // consumes no random draws, so the retry is an exact replay —
-            // which the engine's memo cache then serves without real CPU.
-            actors_[l]->RollbackLastRun();
+            // consumes no random draws, so the retry is an exact replay and
+            // the timeout changes the clock, never the sample.
+            actors_[actor_of[l]]->RollbackLastRun();
             add("deploy", "_deploy", out.timing.deploy_seconds);
             add("execution", "_stress_cancelled",
                 options_.straggler_timeout_seconds);
@@ -284,7 +299,7 @@ std::vector<Sample> Controller::EvaluateBatch(
             fault_event("straggler_timeout");
             requeue = true;
             requeue_front = true;
-            preferred_lane = static_cast<int>(l);
+            preferred_lane = static_cast<int>(actor_of[l]);
             next_attempt = item.attempt + 1;
           } else {
             add("deploy", "_deploy", out.timing.deploy_seconds);
@@ -332,7 +347,7 @@ std::vector<Sample> Controller::EvaluateBatch(
           crashes_counter_->Increment();
           fault_event("crash");
           // The recovery restart comes back with a cold buffer pool.
-          actors_[l]->instance().PointInTimeRecover();
+          actors_[actor_of[l]]->instance().PointInTimeRecover();
           if (item.attempt < options_.max_retries) {
             requeue = true;
             next_attempt = item.attempt + 1;
@@ -352,7 +367,7 @@ std::vector<Sample> Controller::EvaluateBatch(
           ++fault_stats_.permanent_deaths;
           permanent_deaths_counter_->Increment();
           fault_event("permanent_death");
-          ReplaceActor(l);
+          ReplaceActor(actor_of[l]);
           fault_event("reclone");
           // The clone died, not the configuration: re-dispatch without
           // burning the item's retry budget or backing off.

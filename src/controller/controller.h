@@ -15,6 +15,7 @@
 #define HUNTER_CONTROLLER_CONTROLLER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -61,12 +62,6 @@ struct ControllerOptions {
   // Provisioning a replacement clone from the user instance (§2.1 copy
   // backup). Dominated by data copy, so well above a plain restart.
   double reclone_seconds = 180.0;
-
-  // Steady-state memo cache on the clones: a cancelled (straggling) attempt
-  // is rolled back and its retry — an exact replay — is served from the
-  // cache instead of re-running the engine. Saves real CPU only; simulated
-  // time and journal bytes are identical either way.
-  bool engine_memo_cache = true;
 };
 
 // Counters for everything the resilience layer had to absorb.
@@ -137,8 +132,9 @@ class Controller {
   // One queued evaluation: which config, how many dispatches so far, and
   // the backoff to charge before the next attempt runs. A cancelled
   // straggler prefers its original lane: the clone there was rolled back to
-  // its pre-run state, so re-running the attempt on it is an exact replay
-  // the engine memo cache serves without real CPU.
+  // its pre-run state, so re-running the attempt on it is an exact replay.
+  // The timeout then costs simulated time but never changes the sample; on
+  // another clone (different RNG stream, warmth) the retry would.
   struct WorkItem {
     size_t index = 0;
     int attempt = 0;
@@ -150,10 +146,17 @@ class Controller {
   // instance under a new clone id (new deterministic fault stream).
   void ReplaceActor(size_t lane);
 
-  // Sweeps each lane's engine eval-cache stats into the registry counters
-  // (delta since last sweep). Runs on the coordination thread between
-  // rounds, after all lane futures have completed.
-  void HarvestEvalCacheStats();
+  // The engine buffer-pool counters of lane `lane`'s clone.
+  struct PoolCounts {
+    uint64_t resets = 0;
+    uint64_t slab_reuses = 0;
+  };
+  PoolCounts LanePoolCounts(size_t lane) const;
+
+  // Sweeps each lane's engine buffer-pool counters into the registry
+  // counters (delta since last sweep). Runs on the coordination thread
+  // between rounds, after all lane futures have completed.
+  void HarvestPoolStats();
 
   // Stamps `sample` with the boot-failure clamp and marks it as an
   // infrastructure failure (§2.1 sentinel; learners skip it).
@@ -190,14 +193,12 @@ class Controller {
   obs::Counter* failed_samples_counter_ = nullptr;
   obs::Histogram* round_seconds_hist_ = nullptr;
   obs::Histogram* clone_utilization_hist_ = nullptr;
-  obs::Counter* eval_cache_hits_counter_ = nullptr;
-  obs::Counter* eval_cache_misses_counter_ = nullptr;
   obs::Counter* pool_resets_counter_ = nullptr;
   obs::Counter* pool_slab_reuses_counter_ = nullptr;
-  // Per-lane stats already swept into the counters (delta tracking; an
-  // entry resets when its lane's actor is replaced).
-  std::vector<cdb::CdbInstance::EvalCacheStats> lane_cache_seen_;
-  std::vector<cdb::CdbInstance::PoolStats> lane_pool_seen_;
+  // Per-lane engine pool counters already swept into the registry (delta
+  // tracking). A clone copies its source's engine, counters included, so an
+  // entry starts from the clone's counters when its actor is created.
+  std::vector<PoolCounts> lane_pool_seen_;
 };
 
 }  // namespace hunter::controller

@@ -460,55 +460,6 @@ bool Cholesky(const Matrix& a, Matrix* lower) {
 }
 
 // hunterlint: hot
-bool CholeskyAppendRow(const std::vector<double>& new_row, Matrix* lower) {
-  const size_t n = lower->rows();
-  assert(lower->cols() == n);
-  assert(new_row.size() == n + 1);
-  // The appended row satisfies L(n, j) = (A(n, j) - sum_{k<j} L(n,k) L(j,k))
-  // / L(j, j) — exactly the recurrence full factorization evaluates for its
-  // last row, with the same operand values in the same order, so the grown
-  // factor matches a from-scratch refactorization bit for bit.
-  std::vector<double> row(n + 1, 0.0);
-  // Blocked left-looking evaluation: four appended-row columns at a time.
-  // The vector primitive folds the k < j0 prefix common to all four lanes
-  // (independent output elements, k ascending per lane); the triangular
-  // remainder k in [j0, j) and the divide finish serially per lane, in lane
-  // order, so row[j] is always complete before lane j+1 reads it. Term
-  // order per element is untouched — the factor still matches a
-  // from-scratch refactorization bit for bit.
-  size_t j0 = 0;
-  for (; j0 + 4 <= n; j0 += 4) {
-    double sums[4] = {new_row[j0], new_row[j0 + 1], new_row[j0 + 2],
-                      new_row[j0 + 3]};
-    simd::CholeskyDowndate4(lower->Data(), n, j0, /*k_end=*/j0, row.data(),
-                            sums);
-    for (size_t l = 0; l < 4; ++l) {
-      const size_t j = j0 + l;
-      double sum = sums[l];
-      for (size_t k = j0; k < j; ++k) sum -= row[k] * lower->At(j, k);
-      row[j] = sum / lower->At(j, j);
-    }
-  }
-  for (size_t j = j0; j < n; ++j) {
-    double sum = new_row[j];
-    for (size_t k = 0; k < j; ++k) sum -= row[k] * lower->At(j, k);
-    row[j] = sum / lower->At(j, j);
-  }
-  double diag = new_row[n];
-  for (size_t k = 0; k < n; ++k) diag -= row[k] * row[k];
-  if (diag <= 0.0) return false;
-  row[n] = std::sqrt(diag);
-
-  Matrix grown(n + 1, n + 1);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) grown.At(i, j) = lower->At(i, j);
-  }
-  for (size_t j = 0; j <= n; ++j) grown.At(n, j) = row[j];
-  *lower = std::move(grown);
-  return true;
-}
-
-// hunterlint: hot
 std::vector<double> CholeskySolve(const Matrix& lower,
                                   const std::vector<double>& b) {
   const size_t n = lower.rows();

@@ -157,16 +157,6 @@ EigenResult SymmetricEigenJacobi(const Matrix& symmetric, int max_sweeps = 64);
 // matrix. Returns false if the matrix is not (numerically) SPD.
 bool Cholesky(const Matrix& a, Matrix* lower);
 
-// Grows a Cholesky factor by one row/column: on entry `lower` is the n x n
-// factor of the leading n x n block of an (n+1) x (n+1) symmetric matrix A,
-// and `new_row` holds A(n, 0..n) — the appended row including the new
-// diagonal element. On success `lower` becomes the (n+1) x (n+1) factor.
-// The appended row is computed by exactly the recurrence full factorization
-// uses for its last row, so the grown factor is bit-identical to
-// refactorizing from scratch. Returns false (leaving `lower` untouched) if
-// the appended diagonal is not numerically positive.
-bool CholeskyAppendRow(const std::vector<double>& new_row, Matrix* lower);
-
 // Solves A x = b given the Cholesky factor L (forward + back substitution).
 std::vector<double> CholeskySolve(const Matrix& lower,
                                   const std::vector<double>& b);

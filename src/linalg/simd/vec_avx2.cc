@@ -261,24 +261,6 @@ void ScaleClampIntoAvx2(const double* x, double factor, double clip,
   }
 }
 
-void CholeskyDowndate4Avx2(const double* lower, size_t stride, size_t j0,
-                           size_t k_end, const double* row, double* sums) {
-  const double* l0 = lower + (j0 + 0) * stride;
-  const double* l1 = lower + (j0 + 1) * stride;
-  const double* l2 = lower + (j0 + 2) * stride;
-  const double* l3 = lower + (j0 + 3) * stride;
-  __m256d acc = _mm256_loadu_pd(sums);
-  for (size_t k = 0; k < k_end; ++k) {
-    // One vector holds the SAME k-term of four independent lanes; k still
-    // ascends per lane, so each lane's subtraction chain is the scalar
-    // recurrence verbatim.
-    const __m256d rv = _mm256_set1_pd(row[k]);
-    const __m256d lv = _mm256_set_pd(l3[k], l2[k], l1[k], l0[k]);
-    acc = _mm256_sub_pd(acc, _mm256_mul_pd(rv, lv));
-  }
-  _mm256_storeu_pd(sums, acc);
-}
-
 }  // namespace hunter::linalg::simd
 
 #else  // !(__x86_64__ && __AVX2__)
@@ -340,10 +322,6 @@ void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
 void ScaleClampIntoAvx2(const double* x, double factor, double clip,
                         double* out, size_t n) {
   ScaleClampIntoScalar(x, factor, clip, out, n);
-}
-void CholeskyDowndate4Avx2(const double* lower, size_t stride, size_t j0,
-                           size_t k_end, const double* row, double* sums) {
-  CholeskyDowndate4Scalar(lower, stride, j0, k_end, row, sums);
 }
 
 }  // namespace hunter::linalg::simd

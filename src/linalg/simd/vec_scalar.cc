@@ -109,16 +109,4 @@ void ScaleClampIntoScalar(const double* x, double factor, double clip,
   }
 }
 
-void CholeskyDowndate4Scalar(const double* lower, size_t stride, size_t j0,
-                             size_t k_end, const double* row, double* sums) {
-  // Four independent lanes; each one's k ascends, so lane l's partial sum
-  // is term-for-term the scalar recurrence for appended-row column j0 + l.
-  for (size_t l = 0; l < 4; ++l) {
-    const double* lrow = lower + (j0 + l) * stride;
-    double sum = sums[l];
-    for (size_t k = 0; k < k_end; ++k) sum -= row[k] * lrow[k];
-    sums[l] = sum;
-  }
-}
-
 }  // namespace hunter::linalg::simd

@@ -65,16 +65,11 @@ void Ddpg::AddTransition(Transition transition) {
   buffer_.Add(std::move(transition));
 }
 
-double Ddpg::TrainStep() {
+// The original per-sample reference path, kept for baseline timing and for
+// the equivalence tests that pin TrainStep to it bit for bit.
+double Ddpg::TrainStepPerSample() {
   if (buffer_.empty()) return 0.0;
   buffer_.SampleIndices(options_.batch_size, &rng_, &batch_indices_);
-  return options_.batched_training ? TrainStepBatched() : TrainStepScalar();
-}
-
-// The original per-sample reference path. Kept (behind
-// DdpgOptions::batched_training = false) for baseline timing and for the
-// equivalence tests that pin the batched path to it bit for bit.
-double Ddpg::TrainStepScalar() {
   // ---- Critic update: minimize (Q(s,a) - y)^2 with
   //      y = r + gamma * Q'(s', mu'(s')).
   double total_loss = 0.0;
@@ -127,11 +122,13 @@ double Ddpg::TrainStepScalar() {
   return total_loss / static_cast<double>(batch_indices_.size());
 }
 
-// Batched path: the same three passes as TrainStepScalar, each run as one
-// minibatch GEMM over preallocated arenas. Every floating-point sum below
-// is evaluated in the same order as the scalar path (see mlp.h), so the two
-// paths produce bit-identical parameters from the same RNG stream.
-double Ddpg::TrainStepBatched() {
+// The same three passes as TrainStepPerSample, each run as one minibatch
+// GEMM over preallocated arenas. Every floating-point sum below is evaluated
+// in the same order as the per-sample path (see mlp.h), so the two produce
+// bit-identical parameters from the same RNG stream.
+double Ddpg::TrainStep() {
+  if (buffer_.empty()) return 0.0;
+  buffer_.SampleIndices(options_.batch_size, &rng_, &batch_indices_);
   const size_t batch = batch_indices_.size();
   const size_t s_dim = options_.state_dim;
   const size_t a_dim = options_.action_dim;

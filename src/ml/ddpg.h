@@ -33,12 +33,6 @@ struct DdpgOptions {
   size_t replay_capacity = 100000;
   // Gradient L2-norm clip (0 disables clipping).
   double grad_clip = 5.0;
-  // When true (default), TrainStep runs the three batched GEMM passes
-  // (critic target, critic update, actor update) over preallocated arenas.
-  // When false it runs the original per-sample reference path. Both paths
-  // consume the same RNG stream and produce bit-identical parameters; the
-  // flag exists for baseline timing and equivalence tests.
-  bool batched_training = true;
 };
 
 class Ddpg {
@@ -51,9 +45,16 @@ class Ddpg {
   void AddTransition(Transition transition);
 
   // Performs one minibatch update of critic and actor plus soft target
-  // updates. Returns the critic's mean squared TD error (0 if the buffer is
-  // empty). Deterministic given the RNG state.
+  // updates, as three batched GEMM passes (critic target, critic update,
+  // actor update) over preallocated arenas. Returns the critic's mean
+  // squared TD error (0 if the buffer is empty). Deterministic given the
+  // RNG state.
   double TrainStep();
+
+  // The same update, one sample at a time: the reference TrainStep is
+  // pinned to. Consumes the same RNG stream and produces bit-identical
+  // parameters; used for baseline timing and equivalence tests.
+  double TrainStepPerSample();
 
   // Target-critic estimate of Q(s, a) — used by tests and diagnostics.
   double EvaluateQ(const std::vector<double>& state,
@@ -68,10 +69,6 @@ class Ddpg {
   void LoadParameters(const std::vector<double>& params);
 
  private:
-  // The two TrainStep bodies; both consume `batch_indices_`.
-  double TrainStepScalar();
-  double TrainStepBatched();
-
   DdpgOptions options_;
   common::Rng rng_;
   Mlp actor_;

@@ -26,15 +26,6 @@ double ExpectedImprovementFrom(double mean, double variance,
   return (mean - best_so_far) * NormalCdf(z) + sigma * NormalPdf(z);
 }
 
-// Ascending dot product — the contraction order every GEMM kernel in linalg
-// commits to, so scalar values computed here are bit-identical to the
-// corresponding Gram / cross-kernel matrix elements.
-double DotAscending(const double* a, const double* b, size_t n) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
 }  // namespace
 
 double GaussianProcess::Kernel(linalg::RowSpan a, linalg::RowSpan b) const {
@@ -47,52 +38,16 @@ double GaussianProcess::Kernel(linalg::RowSpan a, linalg::RowSpan b) const {
   return options_.signal_variance * std::exp(-0.5 * sq / ls);
 }
 
-double GaussianProcess::KernelFromParts(double norm_a, double norm_b,
-                                        double dot) const {
-  // The expansion can go infinitesimally negative for near-identical points;
-  // clamp like the direct formula's guaranteed-nonnegative sum of squares.
-  const double sq = std::max(0.0, norm_a + norm_b - 2.0 * dot);
-  const double ls = options_.length_scale * options_.length_scale;
-  return options_.signal_variance * std::exp(-0.5 * sq / ls);
-}
-
-bool GaussianProcess::ExtendsTrainingSet(const linalg::Matrix& x,
-                                         const std::vector<double>& y) const {
-  const size_t old_n = train_x_.rows();
-  if (!fitted_ || old_n == 0) return false;
-  if (x.rows() <= old_n || x.cols() != train_x_.cols()) return false;
-  // Bit-exact prefix comparison: the tuners rebuild their sample window
-  // from the same stored vectors each Observe, so while the window is still
-  // filling the prefix matches exactly; once it slides, it does not.
-  if (!std::equal(train_x_.data().begin(), train_x_.data().end(),
-                  x.data().begin())) {
-    return false;
-  }
-  return std::equal(train_y_.begin(), train_y_.end(), y.begin());
-}
-
 bool GaussianProcess::Fit(const linalg::Matrix& x,
                           const std::vector<double>& y) {
   assert(x.rows() == y.size());
-  if (ExtendsTrainingSet(x, y)) {
-    if (FitIncremental(x, y)) return true;
-    // A non-SPD append (ill-conditioned new row) falls back to the full
-    // factorization, which applies its own SPD check.
-  }
-  return FitFull(x, y);
-}
-
-bool GaussianProcess::FitFull(const linalg::Matrix& x,
-                              const std::vector<double>& y) {
   const size_t n = x.rows();
   train_x_ = x;
   train_xt_ = x.Transpose();
-  train_y_ = y;
 
   // Gram matrix G = X Xᵀ in one GEMM, then K(i,j) from the squared-distance
   // expansion. The row norms are read off G's diagonal so the expansion
-  // yields exactly zero distance on the diagonal (nᵢ + nᵢ − 2nᵢ) and so the
-  // incremental path below can reproduce these exact values.
+  // yields exactly zero distance on the diagonal (nᵢ + nᵢ − 2nᵢ).
   linalg::Matrix gram(n, n);
   if (n > 0) {
     linalg::GemmTransposedAInto(train_xt_.Data(), x.cols(), n,
@@ -104,8 +59,8 @@ bool GaussianProcess::FitFull(const linalg::Matrix& x,
 
   linalg::Matrix k(n, n);
   // Squared distances for row i's upper triangle in one vector kernel (the
-  // max(0, nᵢ + nⱼ − 2g) expansion, exactly as KernelFromParts computes
-  // it), then the scalar exp — libm has no bit-reproducible vector form.
+  // clamped max(0, nᵢ + nⱼ − 2g) expansion), then the scalar exp — libm has
+  // no bit-reproducible vector form.
   const double ls = options_.length_scale * options_.length_scale;
   std::vector<double> sq(n);
   for (size_t i = 0; i < n; ++i) {
@@ -123,68 +78,15 @@ bool GaussianProcess::FitFull(const linalg::Matrix& x,
     fitted_ = false;
     return false;
   }
-  ++full_refits_;
-  RecomputeAlpha(y);
-  fitted_ = true;
-  return true;
-}
 
-bool GaussianProcess::FitIncremental(const linalg::Matrix& x,
-                                     const std::vector<double>& y) {
-  const size_t old_n = train_x_.rows();
-  const size_t n = x.rows();
-  const size_t d = x.cols();
-
-  // Stage the appends on copies so a non-SPD row leaves the fitted state
-  // untouched for the full-refit fallback.
-  linalg::Matrix chol = chol_;
-  std::vector<double> norms = row_norms_;
-  std::vector<double> k_new;
-  std::vector<double> dots;
-  const double ls = options_.length_scale * options_.length_scale;
-  for (size_t r = old_n; r < n; ++r) {
-    const linalg::RowSpan xr = x.RowView(r);
-    // Ascending self-dot == what the Gram GEMM's diagonal would hold.
-    const double norm_r = DotAscending(xr.data, xr.data, d);
-    k_new.assign(r + 1, 0.0);
-    dots.resize(r);
-    for (size_t j = 0; j < r; ++j) {
-      dots[j] = DotAscending(x.RowView(j).data, xr.data, d);
-    }
-    // The expansion is nⱼ + n_r − 2d in KernelFromParts operand order; the
-    // vector kernel computes n_r + nⱼ − 2d, identical bits because IEEE
-    // addition is commutative (only association changes rounding).
-    linalg::simd::SquaredDistInto(norm_r, norms.data(), dots.data(),
-                                  k_new.data(), r);
-    for (size_t j = 0; j < r; ++j) {
-      k_new[j] = options_.signal_variance * std::exp(-0.5 * k_new[j] / ls);
-    }
-    // Diagonal: zero distance exactly, as in the full path.
-    k_new[r] = KernelFromParts(norm_r, norm_r, norm_r) +
-               options_.noise_variance;
-    if (!linalg::CholeskyAppendRow(k_new, &chol)) return false;
-    norms.push_back(norm_r);
-  }
-
-  chol_ = std::move(chol);
-  row_norms_ = std::move(norms);
-  train_x_ = x;
-  train_xt_ = x.Transpose();
-  train_y_ = y;
-  ++incremental_updates_;
-  RecomputeAlpha(y);
-  fitted_ = true;
-  return true;
-}
-
-void GaussianProcess::RecomputeAlpha(const std::vector<double>& y) {
-  const size_t n = y.size();
   y_mean_ = 0.0;
   for (double v : y) y_mean_ += v;
   if (n > 0) y_mean_ /= static_cast<double>(n);
   std::vector<double> centered(n);
   for (size_t i = 0; i < n; ++i) centered[i] = y[i] - y_mean_;
   alpha_ = linalg::CholeskySolve(chol_, centered);
+  fitted_ = true;
+  return true;
 }
 
 GaussianProcess::Prediction GaussianProcess::Predict(
@@ -239,8 +141,12 @@ void GaussianProcess::PredictBatch(const linalg::Matrix& x,
   }
   query_norms_.resize(m);
   for (size_t i = 0; i < m; ++i) {
+    // Ascending self-dot: the contraction order of the Gram GEMM whose
+    // diagonal holds the training rows' norms.
     const linalg::RowSpan q = x.RowView(i);
-    query_norms_[i] = DotAscending(q.data, q.data, d);
+    double norm = 0.0;
+    for (size_t k = 0; k < d; ++k) norm += q[k] * q[k];
+    query_norms_[i] = norm;
   }
 
   k_star_.resize(n);

@@ -78,13 +78,6 @@ void OtterTuneTuner::AcquisitionBatch(const linalg::Matrix& candidates,
   gp_.ExpectedImprovementBatch(candidates, best_fitness_, scores);
 }
 
-void OtterTuneTuner::BindObservability(obs::Journal* journal) {
-  gp_full_refit_counter_ =
-      journal->registry()->RegisterCounter("tuner.gp_full_refits");
-  gp_incremental_counter_ =
-      journal->registry()->RegisterCounter("tuner.gp_incremental_refits");
-}
-
 void OtterTuneTuner::Observe(const std::vector<controller::Sample>& samples) {
   for (const controller::Sample& sample : samples) {
     observed_knobs_.push_back(sample.knobs);
@@ -112,17 +105,6 @@ void OtterTuneTuner::RefitGp() {
     y[i] = observed_fitness_[start + i];
   }
   gp_.Fit(x, y);
-  // Export the refit-kind counters as journal deltas. Observe runs on the
-  // harness (coordination) thread, respecting the registry's threading
-  // contract.
-  if (gp_full_refit_counter_ != nullptr) {
-    gp_full_refit_counter_->Increment(
-        static_cast<double>(gp_.full_refits() - last_full_refits_));
-    gp_incremental_counter_->Increment(static_cast<double>(
-        gp_.incremental_updates() - last_incremental_updates_));
-  }
-  last_full_refits_ = gp_.full_refits();
-  last_incremental_updates_ = gp_.incremental_updates();
 }
 
 }  // namespace hunter::tuners

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -139,6 +141,39 @@ TEST_F(CdbInstanceTest, PointInTimeRecoveryResetsWarmState) {
   ASSERT_TRUE(instance_.warm());
   instance_.PointInTimeRecover();
   EXPECT_FALSE(instance_.warm());
+}
+
+TEST_F(CdbInstanceTest, RestoredStateReplaysStressTestBitForBit) {
+  // A straggler retry rolls its clone back to the captured pre-run state;
+  // the replay must return exactly what the cancelled run returned. Start
+  // from a warm instance with an advanced RNG so the snapshot is not the
+  // constructor's state.
+  Configuration config = catalog_.DefaultConfiguration();
+  config[static_cast<size_t>(catalog_.IndexOf("innodb_io_capacity"))] = 5000;
+  ASSERT_TRUE(instance_.DeployConfiguration(config).booted);
+  instance_.StressTest(workload::Tpcc());
+
+  const CdbInstance::StateSnapshot snapshot = instance_.CaptureState();
+  const PerfResult first = instance_.StressTest(workload::Tpcc());
+  instance_.RestoreState(snapshot);
+  const PerfResult replay = instance_.StressTest(workload::Tpcc());
+
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(replay.boot_failed, first.boot_failed);
+  EXPECT_EQ(bits(replay.throughput_tps), bits(first.throughput_tps));
+  EXPECT_EQ(bits(replay.latency_p95_ms), bits(first.latency_p95_ms));
+  EXPECT_EQ(bits(replay.latency_p99_ms), bits(first.latency_p99_ms));
+  ASSERT_EQ(replay.metrics.size(), first.metrics.size());
+  ASSERT_FALSE(first.metrics.empty());
+  for (size_t i = 0; i < first.metrics.size(); ++i) {
+    EXPECT_EQ(bits(replay.metrics[i]), bits(first.metrics[i])) << "metric " << i;
+  }
+  for (size_t i = 0; i < first.latents.size(); ++i) {
+    EXPECT_EQ(bits(replay.latents[i]), bits(first.latents[i])) << "latent " << i;
+  }
+  // Without the restore the next run draws fresh randomness.
+  const PerfResult next = instance_.StressTest(workload::Tpcc());
+  EXPECT_NE(bits(next.throughput_tps), bits(first.throughput_tps));
 }
 
 TEST_F(CdbInstanceTest, ResizeChangesInstanceTypeAndRestarts) {

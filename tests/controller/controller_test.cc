@@ -1,13 +1,17 @@
 #include "controller/controller.h"
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cdb/knob_catalog.h"
 #include "controller/shared_pool.h"
+#include "obs/journal.h"
 #include "workload/workloads.h"
 
 namespace hunter::controller {
@@ -179,6 +183,91 @@ TEST_F(ControllerTest, ConcurrentActorsMatchSerialSemantics) {
       std::vector<std::vector<double>>(8, DefaultNormalized()));
   ASSERT_EQ(samples.size(), 8u);
   for (const auto& sample : samples) EXPECT_GT(sample.throughput_tps, 0.0);
+}
+
+TEST_F(ControllerTest, RolledBackAttemptReplaysIdenticalSample) {
+  // The Controller cancels a straggler by rolling its clone back; the retry
+  // on the same clone must produce the sample the cancelled run produced.
+  const cdb::PerformanceSummary defaults{1000.0, 50.0};
+  std::vector<double> config = DefaultNormalized();
+  config[static_cast<size_t>(catalog_.IndexOf("innodb_io_capacity"))] = 0.7;
+  Actor actor(std::make_unique<cdb::CdbInstance>(
+                  &catalog_, cdb::MySqlEvaluationInstance(),
+                  cdb::MySqlEngineTuning(), 42),
+              /*alpha=*/0.5);
+  actor.Attempt(config, workload::Tpcc(), defaults);  // warm, advance RNG
+
+  const Actor::AttemptOutcome first =
+      actor.Attempt(config, workload::Tpcc(), defaults);
+  actor.RollbackLastRun();
+  const Actor::AttemptOutcome replay =
+      actor.Attempt(config, workload::Tpcc(), defaults);
+
+  ASSERT_EQ(first.status, Actor::AttemptStatus::kOk);
+  ASSERT_EQ(replay.status, Actor::AttemptStatus::kOk);
+  const Sample& a = first.sample;
+  const Sample& b = replay.sample;
+  EXPECT_EQ(b.metrics, a.metrics);
+  EXPECT_EQ(b.knobs, a.knobs);
+  EXPECT_EQ(b.throughput_tps, a.throughput_tps);
+  EXPECT_EQ(b.latency_p95_ms, a.latency_p95_ms);
+  EXPECT_EQ(b.fitness, a.fitness);
+  EXPECT_EQ(b.boot_failed, a.boot_failed);
+  EXPECT_EQ(b.evaluation_failed, a.evaluation_failed);
+  EXPECT_EQ(b.attempts, a.attempts);
+}
+
+TEST_F(ControllerTest, StragglerRetriesStayOnTheirClone) {
+  // Every run straggles, so every configuration is cancelled max_retries
+  // times before its last attempt is accepted. Each retry must run on the
+  // clone that was rolled back for it (lane affinity), which the span names
+  // record: clone<id>_stress_cancelled ... clone<id>_stress. Clone 2 dies
+  // on its first run, which staggers the retry counts: rounds then hold
+  // several retries at once, and config 3's last retry prefers lane 2 in a
+  // round only two items wide.
+  auto instance = std::make_unique<cdb::CdbInstance>(
+      &catalog_, cdb::MySqlEvaluationInstance(), cdb::MySqlEngineTuning(), 42);
+  ControllerOptions options;
+  options.num_clones = 3;
+  options.seed = 42;
+  options.concurrent_actors = false;
+  options.faults.seed = 5;
+  options.faults.straggler_rate = 1.0;
+  options.faults.straggler_slowdown = 10.0;
+  options.faults.permanent_deaths = {{2, 0}};
+  options.straggler_timeout_seconds = 300.0;  // < 10 * 142.7
+  options.max_retries = 2;
+  Controller controller(std::move(instance), workload::Tpcc(), options);
+  const size_t configs = 4;
+  controller.EvaluateBatch(
+      std::vector<std::vector<double>>(configs, DefaultNormalized()));
+
+  std::map<std::string, std::vector<std::string>> cancelled;  // by config
+  std::map<std::string, std::string> accepted;
+  const std::string kCancelled = "_stress_cancelled";
+  const std::string kAccepted = "_stress";
+  for (const obs::Record& r : controller.journal().records()) {
+    if (r.type != obs::Record::Type::kSpan) continue;
+    std::string config;
+    for (const obs::Attr& attr : r.span.attrs) {
+      if (attr.key == "config") config = attr.value;
+    }
+    const std::string& name = r.span.name;
+    if (name.ends_with(kCancelled)) {
+      cancelled[config].push_back(
+          name.substr(0, name.size() - kCancelled.size()));
+    } else if (name.ends_with(kAccepted)) {
+      accepted[config] = name.substr(0, name.size() - kAccepted.size());
+    }
+  }
+  ASSERT_EQ(accepted.size(), configs);
+  ASSERT_EQ(controller.fault_stats().permanent_deaths, 1u);
+  for (const auto& [config, clone] : accepted) {
+    ASSERT_EQ(cancelled[config].size(), 2u) << "config " << config;
+    for (const std::string& c : cancelled[config]) {
+      EXPECT_EQ(c, clone) << "config " << config;
+    }
+  }
 }
 
 TEST(SharedPoolTest, AddAndSnapshot) {

@@ -252,8 +252,7 @@ TEST(CholeskyTest, SolveRecoversSolution) {
 }
 
 // ---------------------------------------------------------------------------
-// Householder + QL production eigensolver vs. the retained Jacobi oracle,
-// and the rank-1 Cholesky row-append the incremental GP is built on.
+// Householder + QL production eigensolver vs. the retained Jacobi oracle.
 
 Matrix RandomSymmetric(size_t n, common::Rng* rng) {
   Matrix m(n, n);
@@ -265,14 +264,6 @@ Matrix RandomSymmetric(size_t n, common::Rng* rng) {
     }
   }
   return m;
-}
-
-Matrix RandomSpd(size_t n, common::Rng* rng) {
-  // B Bᵀ + n·I is comfortably positive definite.
-  const Matrix b = RandomSymmetric(n, rng);
-  Matrix spd = b.Multiply(b.Transpose());
-  for (size_t i = 0; i < n; ++i) spd.At(i, i) += static_cast<double>(n);
-  return spd;
 }
 
 // Eigenvalues must match the oracle; eigenvectors are sign-ambiguous, so
@@ -326,47 +317,6 @@ TEST(EigenTest, QlHandlesRepeatedEigenvalues) {
   Matrix scaled_identity(4, 4);
   for (size_t i = 0; i < 4; ++i) scaled_identity.At(i, i) = 2.5;
   ExpectMatchesJacobiOracle(scaled_identity);
-}
-
-TEST(CholeskyTest, AppendRowIsBitIdenticalToRefactorization) {
-  common::Rng rng(13);
-  for (const size_t n : {1u, 2u, 5u, 12u}) {
-    const Matrix full = RandomSpd(n + 1, &rng);
-    Matrix leading(n, n);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < n; ++c) leading.At(r, c) = full.At(r, c);
-    }
-    Matrix grown;
-    ASSERT_TRUE(Cholesky(leading, &grown));
-    ASSERT_TRUE(CholeskyAppendRow(full.Row(n), &grown));
-
-    Matrix refactored;
-    ASSERT_TRUE(Cholesky(full, &refactored));
-    ASSERT_EQ(grown.rows(), n + 1);
-    for (size_t r = 0; r <= n; ++r) {
-      for (size_t c = 0; c <= n; ++c) {
-        // Exact equality: the append runs the same recurrence on the same
-        // operands in the same order as the full factorization's last row.
-        EXPECT_EQ(grown.At(r, c), refactored.At(r, c))
-            << "(" << r << "," << c << ") at n=" << n;
-      }
-    }
-  }
-}
-
-TEST(CholeskyTest, AppendRowRejectsNonSpdAndLeavesFactorUntouched) {
-  Matrix a({{4, 2}, {2, 3}});
-  Matrix lower;
-  ASSERT_TRUE(Cholesky(a, &lower));
-  const Matrix before = lower;
-  // Appending a duplicate of row 0 makes the grown matrix singular.
-  EXPECT_FALSE(CholeskyAppendRow({4.0, 2.0, 4.0}, &lower));
-  ASSERT_EQ(lower.rows(), 2u);
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 2; ++c) {
-      EXPECT_EQ(lower.At(r, c), before.At(r, c));
-    }
-  }
 }
 
 }  // namespace

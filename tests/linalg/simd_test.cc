@@ -304,25 +304,6 @@ TEST(SimdGemmTest, GemmTransposedAIntoBitIdentical) {
   }
 }
 
-TEST(SimdCholeskyTest, Downdate4BitIdentical) {
-  Rng rng(0x51D00A);
-  for (size_t stride : {4UL, 9UL, 17UL, 32UL}) {
-    const std::vector<double> lower = RandomVec(stride * stride, &rng);
-    const std::vector<double> row = RandomVec(stride, &rng);
-    for (size_t j0 = 0; j0 + 4 <= stride; ++j0) {
-      for (size_t k_end = 0; k_end <= j0; ++k_end) {
-        std::vector<double> sums_s = RandomVec(4, &rng);
-        std::vector<double> sums_v = sums_s;
-        CholeskyDowndate4Scalar(lower.data(), stride, j0, k_end, row.data(),
-                                sums_s.data());
-        CholeskyDowndate4Avx2(lower.data(), stride, j0, k_end, row.data(),
-                              sums_v.data());
-        ExpectBitsEqual(sums_s, sums_v);
-      }
-    }
-  }
-}
-
 // The dispatched entry points honor the testing override: a forced-scalar
 // pass and a hardware-tier pass through Matrix::MultiplyInto must agree to
 // the bit (and the override must clamp/restore cleanly).

@@ -136,17 +136,15 @@ TEST(DdpgTest, DeterministicGivenSeed) {
 }
 
 TEST(DdpgTest, BatchedTrainingMatchesScalarTraining) {
-  // Two agents from the same seed, differing only in the batched_training
-  // flag, must track each other to 1e-9: same per-step losses, same final
-  // policy, same parameters.
-  auto make_agent = [](bool batched) {
+  // Two agents from the same seed, one trained by TrainStep and one by the
+  // per-sample reference TrainStepPerSample, must track each other to 1e-9:
+  // same per-step losses, same final policy, same parameters.
+  auto make_agent = [] {
     common::Rng rng(7);
-    DdpgOptions options = SmallOptions();
-    options.batched_training = batched;
-    return Ddpg(options, &rng);
+    return Ddpg(SmallOptions(), &rng);
   };
-  Ddpg scalar_agent = make_agent(false);
-  Ddpg batched_agent = make_agent(true);
+  Ddpg scalar_agent = make_agent();
+  Ddpg batched_agent = make_agent();
   common::Rng data_rng(37);
   for (int i = 0; i < 120; ++i) {
     Transition t;
@@ -161,7 +159,7 @@ TEST(DdpgTest, BatchedTrainingMatchesScalarTraining) {
     batched_agent.AddTransition(std::move(copy));
   }
   for (int i = 0; i < 40; ++i) {
-    const double scalar_loss = scalar_agent.TrainStep();
+    const double scalar_loss = scalar_agent.TrainStepPerSample();
     const double batched_loss = batched_agent.TrainStep();
     ASSERT_NEAR(scalar_loss, batched_loss, 1e-9) << "step " << i;
   }

@@ -37,14 +37,11 @@ struct RunDigest {
   std::vector<std::string> metric_names;  // from the first metrics record
   std::set<std::string> stages;
   size_t records = 0;
-  double eval_cache_hits = 0.0;  // from the last metrics record
 };
 
 // One small tuning run (2 clones, ~0.8 simulated hours, faults on) — the
 // same shape as examples/trace_journal.cpp, reduced for test runtime.
-// `memo_cache` toggles the clones' steady-state memoization; the journal
-// must not be able to tell the difference (the cache saves real CPU only).
-RunDigest RunOnce(uint64_t seed, bool memo_cache = true) {
+RunDigest RunOnce(uint64_t seed) {
   cdb::KnobCatalog catalog = cdb::MySqlCatalog();
   auto user_instance = std::make_unique<cdb::CdbInstance>(
       &catalog, cdb::MySqlEvaluationInstance(), cdb::MySqlEngineTuning(),
@@ -59,7 +56,6 @@ RunDigest RunOnce(uint64_t seed, bool memo_cache = true) {
   controller_options.faults.crash_rate = 0.04;
   controller_options.faults.straggler_rate = 0.25;
   controller_options.straggler_timeout_seconds = 400.0;
-  controller_options.engine_memo_cache = memo_cache;
   controller::Controller controller(std::move(user_instance),
                                     workload::Tpcc(), controller_options);
 
@@ -97,11 +93,6 @@ RunDigest RunOnce(uint64_t seed, bool memo_cache = true) {
             digest.metric_names.push_back(m.name);
           }
         }
-        for (const obs::MetricSnapshot& m : r.metrics) {
-          if (m.name == "engine.eval_cache_hits") {
-            digest.eval_cache_hits = m.value;  // last record wins
-          }
-        }
         break;
       case obs::Record::Type::kEvent:
         break;
@@ -116,22 +107,6 @@ TEST(JournalDeterminismTest, SameSeedRunsAreByteIdentical) {
   ASSERT_GT(a.records, 0u);
   EXPECT_EQ(a.journal_bytes, b.journal_bytes);
   EXPECT_DOUBLE_EQ(a.clock_seconds, b.clock_seconds);
-}
-
-TEST(JournalDeterminismTest, MemoCacheOnAndOffAreByteIdentical) {
-  // The engine memo cache may only save real CPU: with it on, a straggler's
-  // rolled-back retry is served from the cache; with it off, the engine
-  // re-runs the identical replay. Same seed, same simulated time, same
-  // counters (lookup bookkeeping runs either way) — byte-identical journal.
-  const RunDigest cached = RunOnce(42, /*memo_cache=*/true);
-  const RunDigest uncached = RunOnce(42, /*memo_cache=*/false);
-  ASSERT_GT(cached.records, 0u);
-  EXPECT_EQ(cached.journal_bytes, uncached.journal_bytes);
-  EXPECT_DOUBLE_EQ(cached.clock_seconds, uncached.clock_seconds);
-  // The run must actually exercise the cache (straggler retries hit it),
-  // otherwise this test proves nothing.
-  EXPECT_GT(cached.eval_cache_hits, 0.0);
-  EXPECT_EQ(cached.eval_cache_hits, uncached.eval_cache_hits);
 }
 
 TEST(JournalDeterminismTest, ChargedSpansReproduceClockTotalExactly) {
