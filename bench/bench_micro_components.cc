@@ -121,8 +121,11 @@ void BM_LockReplay(benchmark::State& state) {
   common::Rng rng(8);
   cdb::LockSimConfig config;
   config.num_txns = 400;
+  common::ZipfTable zipf;
+  cdb::LockManager::Table table;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cdb::LockManager::Simulate(config, &rng));
+    benchmark::DoNotOptimize(
+        cdb::LockManager::Simulate(config, &rng, &zipf, &table));
   }
 }
 BENCHMARK(BM_LockReplay);

@@ -1147,7 +1147,7 @@ void BenchBufferPoolReplay(bool smoke) {
   hunter::cdb::BufferPool reused_pool(capacity);
   const double optimized_ms = TimeMs(
       [&] {
-        reused_pool.Reset(capacity);
+        reused_pool.Reset(capacity, 0);
         replay(&reused_pool);
         sink += reused_pool.hits();
       },

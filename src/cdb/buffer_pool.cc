@@ -4,7 +4,7 @@
 
 namespace hunter::cdb {
 
-void BufferPool::Reset(uint64_t capacity_pages) {
+void BufferPool::Reset(uint64_t capacity_pages, uint64_t prewarm_pages) {
   capacity_ = std::max<uint64_t>(1, capacity_pages);
   bool reused = lru_.Reset(capacity_);
   if (dirty_.size() < capacity_) {
@@ -19,15 +19,12 @@ void BufferPool::Reset(uint64_t capacity_pages) {
   dirty_evictions_ = 0;
   ++resets_;
   if (reused) ++slab_reuses_;
-}
-
-void BufferPool::EvictOne() {
-  const uint32_t victim = lru_.back();
-  if (dirty_[victim] != 0) {
-    ++dirty_evictions_;
-    --dirty_count_;
+  // The pool is empty and the pages are distinct, so each goes straight to
+  // the back: no lookup, no eviction.
+  const uint64_t prewarm = std::min(prewarm_pages, capacity_);
+  for (uint64_t page = 0; page < prewarm; ++page) {
+    dirty_[lru_.InsertBack(page)] = 0;
   }
-  lru_.EvictBack();
 }
 
 // hunterlint: hot
@@ -64,18 +61,6 @@ void BufferPool::ResetCounters() {
   hits_ = 0;
   misses_ = 0;
   dirty_evictions_ = 0;
-}
-
-void BufferPool::Prewarm(uint64_t n) {
-  const uint64_t count = std::min(n, capacity_);
-  for (uint64_t page = 0; page < count; ++page) {
-    if (lru_.Find(page) == common::FlatLru::kNil) {
-      if (lru_.size() >= capacity_) EvictOne();
-      // Prewarmed pages are colder than live traffic.
-      const uint32_t slot = lru_.InsertBack(page);
-      dirty_[slot] = 0;
-    }
-  }
 }
 
 }  // namespace hunter::cdb

@@ -9,12 +9,12 @@
 // Storage is a flat intrusive LRU (common::FlatLru): recency links are
 // uint32 index arrays over a slab sized to the capacity, and the page -> slot
 // index is an open-addressing hash reserved so it never grows. An Access is
-// allocation-free, and `Reset(capacity)` lets one pool instance be reused
-// across engine evaluations, reusing the slabs whenever the new capacity
-// fits (`slab_reuses()` counts how often that fast path was taken). The
-// observable hit/miss/evict/flush sequence is bit-identical to the previous
-// std::list + std::unordered_map implementation — pinned by the equivalence
-// tests in tests/cdb/buffer_pool_test.cc.
+// allocation-free, and `Reset(capacity, prewarm)` lets one pool instance be
+// reused across engine evaluations, reusing the slabs whenever the new
+// capacity fits (`slab_reuses()` counts how often that fast path was
+// taken). The observable hit/miss/evict/flush sequence is bit-identical to
+// the previous std::list + std::unordered_map implementation — pinned by
+// the equivalence tests in tests/cdb/buffer_pool_test.cc.
 
 #ifndef HUNTER_CDB_BUFFER_POOL_H_
 #define HUNTER_CDB_BUFFER_POOL_H_
@@ -28,12 +28,16 @@ namespace hunter::cdb {
 
 class BufferPool {
  public:
-  explicit BufferPool(uint64_t capacity_pages) { Reset(capacity_pages); }
+  explicit BufferPool(uint64_t capacity_pages) { Reset(capacity_pages, 0); }
 
   // Empties the pool and re-sizes it for a new run, reusing the slabs when
   // the capacity fits. All counters (including dirty state) restart from
   // zero — equivalent to constructing a fresh pool, without the allocation.
-  void Reset(uint64_t capacity_pages);
+  // The emptied pool is then pre-warmed with the clean pages
+  // [0, min(prewarm_pages, capacity)), page 0 warmest and every prewarmed
+  // page colder than live traffic — the CDB warm-up function that reloads
+  // the buffer pool from disk after a restart (§5).
+  void Reset(uint64_t capacity_pages, uint64_t prewarm_pages);
 
   // Touches a page: returns true on hit. On miss, the page is installed and
   // the LRU victim evicted (a dirty victim counts as a flush-on-evict).
@@ -56,8 +60,7 @@ class BufferPool {
     uint32_t fresh;
     if (lru_.size() >= capacity_) {
       // Fused evict + insert: account the victim, then reuse its slot for
-      // the incoming page (same hit/miss/evict sequence as EvictOne +
-      // InsertFront, without the free-list round trip).
+      // the incoming page.
       const uint32_t victim = lru_.back();
       if (dirty_[victim] != 0) {
         ++dirty_evictions_;
@@ -94,13 +97,7 @@ class BufferPool {
 
   void ResetCounters();
 
-  // Pre-warms the pool with pages [0, n) — models the CDB warm-up function
-  // that reloads the buffer pool from disk after a restart (§5).
-  void Prewarm(uint64_t n);
-
  private:
-  void EvictOne();
-
   uint64_t capacity_ = 1;
   common::FlatLru lru_;
   std::vector<uint8_t> dirty_;  // per-slot dirty bit, parallel to the slab

@@ -23,16 +23,8 @@ LockSimResult LockManager::Simulate(const LockSimConfig& config,
       std::min<uint64_t>(config.hot_rows,
                          static_cast<uint64_t>(config.num_txns) *
                              (static_cast<uint64_t>(config.writes_per_txn) + 1)));
-  Table local_table;
-  Table* lock_table = table != nullptr ? table : &local_table;
-  lock_table->Reset(expected_rows);
-
-  // Bind the row sampler once — its cached constants replace the per-draw
-  // (n, theta) check rng->Zipf did on every row pick, and when the caller
-  // supplies the table they survive into the next Simulate call too.
-  common::ZipfTable local_zipf;
-  common::ZipfTable* rows = zipf != nullptr ? zipf : &local_zipf;
-  rows->Rebind(config.hot_rows, config.zipf_theta);
+  table->Reset(expected_rows);
+  zipf->Rebind(config.hot_rows, config.zipf_theta);
 
   // Transactions arrive so that `concurrency` of them overlap on average.
   const double inter_arrival =
@@ -58,10 +50,10 @@ LockSimResult LockManager::Simulate(const LockSimConfig& config,
     size_t held = 0;
 
     for (size_t w = 0; w < writes; ++w) {
-      const uint64_t row = rows->Sample(rng);
+      const uint64_t row = zipf->Sample(rng);
       now = arrival + acquire_phase * static_cast<double>(w + 1) /
                           static_cast<double>(writes) + txn_wait;
-      const Entry* holder = lock_table->Find(row);
+      const Entry* holder = table->Find(row);
       if (holder != nullptr && holder->release_time > now) {
         waited = true;
         // Potential deadlock: we already hold locks and the holder is still
@@ -93,7 +85,7 @@ LockSimResult LockManager::Simulate(const LockSimConfig& config,
       Entry entry;
       entry.release_time = arrival + txn_wait + hold_time_ms;
       entry.acquire_end = arrival + txn_wait + acquire_phase;
-      lock_table->At(row) = entry;
+      table->At(row) = entry;
       ++held;
     }
 

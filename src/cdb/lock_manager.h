@@ -46,22 +46,19 @@ class LockManager {
     // can form a cycle with the holder (both still collecting locks).
     double acquire_end = 0.0;
   };
-  // The miniature lock table. Callers may own one and pass it to Simulate
-  // so its slab is reused across calls.
+  // The miniature lock table. Callers own one and pass it to Simulate so
+  // its slab is reused across calls.
   using Table = common::FlatHashMap64<Entry>;
 
-  // Replays `config.num_txns` transactions over a miniature lock table.
-  // `zipf` optionally supplies a caller-owned row sampler so its cached
-  // (hot_rows, zipf_theta) constants survive across calls (the simulated
-  // engine keeps one per instance); it is rebound to the config's
-  // distribution here, and the draw stream is identical to the
-  // rng->Zipf(hot_rows, zipf_theta) calls it replaces. `table` optionally
-  // supplies a caller-owned scratch lock table (reset here), which skips
-  // the per-call slab allocation. Pass nullptr for either to use
-  // call-local state; the simulation's results are identical both ways.
+  // Replays `config.num_txns` transactions over the caller-owned scratch
+  // lock `table` (reset here). `zipf` is the caller-owned row sampler,
+  // rebound here to (hot_rows, zipf_theta), so its constants survive
+  // across calls while the distribution does not change (the simulated
+  // engine keeps one of each per instance). Neither carries state into the
+  // result: a reused pair and a fresh pair give identical results and
+  // leave `rng` at the same position.
   static LockSimResult Simulate(const LockSimConfig& config, common::Rng* rng,
-                                common::ZipfTable* zipf = nullptr,
-                                Table* table = nullptr);
+                                common::ZipfTable* zipf, Table* table);
 };
 
 }  // namespace hunter::cdb

@@ -178,12 +178,9 @@ PerfResult SimulatedEngine::Run(const Configuration& config,
       std::max<uint64_t>(16, static_cast<uint64_t>(data_mb / page_mb));
   const uint64_t bp_pages =
       std::max<uint64_t>(1, static_cast<uint64_t>(bp_mb / page_mb));
-  pool_.Reset(bp_pages);
-  if (warm_start) {
-    // The CDB warm-up function restores the hottest pages (low Zipf ranks
-    // map to low page ids in this simulation).
-    pool_.Prewarm(std::min<uint64_t>(bp_pages, data_pages));
-  }
+  // On a warm start the CDB warm-up function restores the hottest pages
+  // (low Zipf ranks map to low page ids in this simulation).
+  pool_.Reset(bp_pages, warm_start ? data_pages : 0);
   const double write_access_fraction = 1.0 - workload.read_fraction;
   const int warmup = warm_start ? kWarmupAccesses / 4 : kWarmupAccesses;
   // Draw the whole access stream up front (same interleaved draw order the

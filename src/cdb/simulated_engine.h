@@ -113,14 +113,14 @@ class SimulatedEngine {
   // the steady state allocation-free.
   mutable std::vector<uint64_t> access_pages_;
   mutable std::vector<uint8_t> access_is_write_;
-  // One pool per engine, re-armed via Reset(capacity) at the top of every
-  // Run instead of being reconstructed — the slabs survive across
+  // One pool per engine, re-armed via Reset(capacity, prewarm) at the top
+  // of every Run instead of being reconstructed — the slabs survive across
   // evaluations (pool_.slab_reuses() counts the hits).
   mutable BufferPool pool_{1};
   // Per-purpose Zipf samplers. The page draws (data_pages, zipf_theta) and
   // the lock-row draws (hot_rows, lock_zipf_theta) alternate within every
-  // Run; a single shared constants cache (the Rng's) would recompute both
-  // zeta sums on every evaluation, so each stream keeps its own warm table.
+  // Run; one shared sampler would recompute both zeta sums on every
+  // evaluation, so each stream keeps its own warm table.
   mutable common::ZipfTable access_zipf_;
   mutable common::ZipfTable lock_zipf_;
   // Scratch lock table handed to LockManager::Simulate so the row-entry

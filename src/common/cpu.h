@@ -64,22 +64,10 @@ namespace simd {
 // or kNil".
 // ---------------------------------------------------------------------------
 
-// Scalar scan-mode lookup: the unique live slot holding `key`, or not-found.
-// Free slots keep their stale key until reuse, so the live byte is part of
-// the match condition (a stale duplicate of `key` must not count).
-inline uint32_t ScanFindScalar(const uint64_t* keys, const uint8_t* live,
-                               uint32_t cap, uint64_t key) {
-  uint32_t found = 0xFFFFFFFFu;
-  for (uint32_t j = 0; j < cap; ++j) {
-    found = (keys[j] == key && live[j] != 0) ? j : found;
-  }
-  return found;
-}
-
-// Dense variant: every slot in [0, count) is live (no free slots below the
-// fill line, no stale keys), so the match condition is the key compare
-// alone. This is the steady state of an LRU that replaces its victim in
-// place (ReplaceBack) instead of evicting then re-inserting.
+// Scalar scan-mode lookup: the slot in [0, count) holding `key`, or
+// not-found. Every slot below the fill line is live and the keys are
+// distinct (the LRU never removes an entry, it replaces its victim in
+// place), so the match condition is the key compare alone.
 inline uint32_t ScanFindDenseScalar(const uint64_t* keys, uint32_t count,
                                     uint64_t key) {
   uint32_t found = 0xFFFFFFFFu;
@@ -90,42 +78,9 @@ inline uint32_t ScanFindDenseScalar(const uint64_t* keys, uint32_t count,
 }
 
 #if defined(__x86_64__)
-// AVX2 lane: four 64-bit key compares per step, accumulated branch-free
-// into a per-chunk match bitmask (a data-dependent branch every four slots
-// mispredicts constantly on random access streams). Live bytes are checked
-// only on the rare raw key matches. Compiled with AVX2 enabled regardless
-// of the build's baseline flags; only called when the CPU reports support.
-__attribute__((target("avx2"))) inline uint32_t ScanFindAvx2(
-    const uint64_t* keys, const uint8_t* live, uint32_t cap, uint64_t key) {
-  const __m256i needle = _mm256_set1_epi64x(static_cast<long long>(key));
-  uint32_t base = 0;
-  while (base < cap) {
-    const uint32_t chunk = cap - base < 64 ? cap - base : 64;
-    uint64_t matches = 0;
-    uint32_t j = 0;
-    for (; j + 4 <= chunk; j += 4) {
-      const __m256i lane = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(keys + base + j));
-      const int mask = _mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(lane, needle)));
-      matches |= static_cast<uint64_t>(static_cast<uint32_t>(mask)) << j;
-    }
-    for (; j < chunk; ++j) {
-      if (keys[base + j] == key) matches |= uint64_t{1} << j;
-    }
-    while (matches != 0) {
-      const uint32_t b =
-          static_cast<uint32_t>(__builtin_ctzll(matches));
-      if (live[base + b] != 0) return base + b;
-      matches &= matches - 1;
-    }
-    base += chunk;
-  }
-  return 0xFFFFFFFFu;
-}
-
-// Dense AVX2 lane: key compares only, no live bytes (see
-// ScanFindDenseScalar for the invariant that makes this sufficient).
+// AVX2 lane: key compares only (see ScanFindDenseScalar for the invariant
+// that makes this sufficient). Compiled with AVX2 enabled regardless of
+// the build's baseline flags; only called when the CPU reports support.
 // Misses dominate an LRU smaller than its working set, so the hot pass is
 // a pure in-vector OR-reduction ("is the key anywhere?") with no
 // per-chunk vector->scalar crossings; the position is recovered by a
@@ -161,18 +116,11 @@ __attribute__((target("avx2"))) inline uint32_t ScanFindDenseAvx2(
   return 0xFFFFFFFFu;
 }
 
-// Dispatchers. The tier is snapshotted at the first call: the buffer pool's
+// Dispatcher. The tier is snapshotted at the first call: the buffer pool's
 // Access path runs this on every page touch, and a per-call atomic load is
 // measurable there. HUNTER_FORCE_SCALAR (read before any dispatch) is
-// always honored; an in-process SetSimdTierForTesting only affects these if
-// set before the first scan, which the scan tests do.
-inline uint32_t ScanFind(const uint64_t* keys, const uint8_t* live,
-                         uint32_t cap, uint64_t key) {
-  static const bool kAvx2 = ActiveSimdTier() == SimdTier::kAvx2Fma;
-  return kAvx2 ? ScanFindAvx2(keys, live, cap, key)
-               : ScanFindScalar(keys, live, cap, key);
-}
-
+// always honored; an in-process SetSimdTierForTesting only affects it if
+// set before the first scan.
 inline uint32_t ScanFindDense(const uint64_t* keys, uint32_t count,
                               uint64_t key) {
   static const bool kAvx2 = ActiveSimdTier() == SimdTier::kAvx2Fma;
@@ -180,11 +128,6 @@ inline uint32_t ScanFindDense(const uint64_t* keys, uint32_t count,
                : ScanFindDenseScalar(keys, count, key);
 }
 #else
-inline uint32_t ScanFind(const uint64_t* keys, const uint8_t* live,
-                         uint32_t cap, uint64_t key) {
-  return ScanFindScalar(keys, live, cap, key);
-}
-
 inline uint32_t ScanFindDense(const uint64_t* keys, uint32_t count,
                               uint64_t key) {
   return ScanFindDenseScalar(keys, count, key);

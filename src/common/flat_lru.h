@@ -7,13 +7,19 @@
 // goes through FlatHashMap64. A full Access (lookup + splice to front) is a
 // handful of contiguous array reads.
 //
+// The list only grows until it is full and then replaces its victim in
+// place (ReplaceBack); nothing is ever removed. So slots are handed out in
+// order 0, 1, 2, ..., and slots [0, size) are always exactly the live ones,
+// each holding a distinct key.
+//
 // Capacities of at most kScanSlots skip the hash index altogether: the key
 // slab fits in one or two cache lines' worth of vector compares, so lookup
-// is a branchless linear scan over keys + live bytes. This is the common
-// case for the engine's default buffer pools (tens of pages), where a miss
-// previously paid three probe sequences (find, erase victim with backward
-// shift, re-probe to insert) per eviction. Which mode is active is not
-// observable: Find/Insert/Evict semantics are identical in both.
+// is a branchless linear scan over the keys below the fill line. This is
+// the common case for the engine's default buffer pools (tens of pages),
+// where a miss previously paid three probe sequences (find, erase victim
+// with backward shift, re-probe to insert) per eviction. Which mode is
+// active is not observable: Find/Insert/Replace semantics are identical in
+// both.
 //
 // `Reset(capacity)` reinitializes the structure for a new run, reusing the
 // slabs whenever they are already big enough — the engine keeps one pool
@@ -37,8 +43,8 @@
 namespace hunter::common {
 
 // The scan-mode lookup kernels (scalar + runtime-dispatched AVX2 lanes)
-// live in common/cpu.h as simd::ScanFind / simd::ScanFindDense, next to the
-// one cached CPUID query every dispatch site in the tree shares.
+// live in common/cpu.h as simd::ScanFindDense, next to the one cached CPUID
+// query every dispatch site in the tree shares.
 
 class FlatLru {
  public:
@@ -61,15 +67,8 @@ class FlatLru {
       keys_.resize(cap);
       prev_.resize(cap);
       next_.resize(cap);
-      live_.resize(cap);
       reused = false;
     }
-    if (scan_) std::fill(live_.begin(), live_.begin() + cap, uint8_t{0});
-    dense_ = true;
-    // Free list threaded through next_.
-    for (uint32_t i = 0; i < cap; ++i) next_[i] = i + 1;
-    next_[cap - 1] = kNil;
-    free_head_ = 0;
     head_ = kNil;
     tail_ = kNil;
     size_ = 0;
@@ -82,16 +81,9 @@ class FlatLru {
   // Slot holding `key`, or kNil if absent.
   uint32_t Find(uint64_t key) const {
     if (scan_) {
-      // Live keys are unique, so the scan's unique match (or kNil) is the
-      // same answer the hash index would give. While the slab is dense —
-      // slots are handed out in order and only ever replaced in place —
-      // every slot below the fill line is live and holds a distinct key,
-      // so the scan needs neither the live bytes nor the empty tail.
-      if (dense_) {
-        return simd::ScanFindDense(keys_.data(),
-                                   static_cast<uint32_t>(size_), key);
-      }
-      return simd::ScanFind(keys_.data(), live_.data(), capacity_, key);
+      // Live keys are unique and fill [0, size_), so the scan's unique
+      // match (or kNil) is the same answer the hash index would give.
+      return simd::ScanFindDense(keys_.data(), size_, key);
     }
     const uint32_t* slot = index_.Find(key);
     return slot == nullptr ? kNil : *slot;
@@ -102,8 +94,6 @@ class FlatLru {
   uint32_t back() const { return tail_; }
   // Next-warmer slot (toward the front/MRU end); kNil past the front.
   uint32_t Warmer(uint32_t slot) const { return prev_[slot]; }
-  // Next-colder slot (toward the back/LRU end); kNil past the back.
-  uint32_t Colder(uint32_t slot) const { return next_[slot]; }
 
   // Splices an existing slot to the front (most-recently-used position).
   void MoveToFront(uint32_t slot) {
@@ -127,7 +117,7 @@ class FlatLru {
   // Inserts an absent key at the front; returns its slot. The caller must
   // guarantee the key is absent and the list is not full.
   uint32_t InsertFront(uint64_t key_value) {
-    const uint32_t slot = PopFree();
+    const uint32_t slot = size_++;
     keys_[slot] = key_value;
     prev_[slot] = kNil;
     next_[slot] = head_;
@@ -137,15 +127,14 @@ class FlatLru {
       tail_ = slot;
     }
     head_ = slot;
-    live_[slot] = 1;
     if (!scan_) index_.At(key_value) = slot;
-    ++size_;
     return slot;
   }
 
   // Inserts an absent key at the back (coldest position); returns its slot.
+  // Same preconditions as InsertFront.
   uint32_t InsertBack(uint64_t key_value) {
-    const uint32_t slot = PopFree();
+    const uint32_t slot = size_++;
     keys_[slot] = key_value;
     next_[slot] = kNil;
     prev_[slot] = tail_;
@@ -155,39 +144,13 @@ class FlatLru {
       head_ = slot;
     }
     tail_ = slot;
-    live_[slot] = 1;
     if (!scan_) index_.At(key_value) = slot;
-    ++size_;
-    return slot;
-  }
-
-  // Removes the back (least-recently-used) entry. The list must be
-  // non-empty. Returns the freed slot (its key is still readable until the
-  // next insert).
-  uint32_t EvictBack() {
-    const uint32_t slot = tail_;
-    tail_ = prev_[slot];
-    if (tail_ != kNil) {
-      next_[tail_] = kNil;
-    } else {
-      head_ = kNil;
-    }
-    live_[slot] = 0;
-    if (!scan_) index_.Erase(keys_[slot]);
-    PushFree(slot);
-    --size_;
-    // A freed slot below the fill line breaks the dense invariant until the
-    // next Reset.
-    dense_ = false;
     return slot;
   }
 
   // Evicts the back entry and installs `key_value` at the front in its
-  // slot, in one step — equivalent to EvictBack() followed by
-  // InsertFront(key_value), minus the free-list round trip and the second
-  // linking pass. The list must be non-empty and `key_value` absent.
-  // Returns the reused slot (the victim's key is gone from the slab, which
-  // is what keeps the dense-scan invariant intact).
+  // slot, in one step. The list must be non-empty and `key_value` absent.
+  // Returns the reused slot (the victim's key is gone from the slab).
   uint32_t ReplaceBack(uint64_t key_value) {
     const uint32_t slot = tail_;
     if (!scan_) {
@@ -208,30 +171,15 @@ class FlatLru {
   }
 
  private:
-  uint32_t PopFree() {
-    const uint32_t slot = free_head_;
-    free_head_ = next_[slot];
-    return slot;
-  }
-  void PushFree(uint32_t slot) {
-    next_[slot] = free_head_;
-    free_head_ = slot;
-  }
-
   FlatHashMap64<uint32_t> index_;  // key -> slot; reserved so it never grows
   std::vector<uint64_t> keys_;
   std::vector<uint32_t> prev_;  // toward the front (warmer)
-  std::vector<uint32_t> next_;  // toward the back (colder); free list links
-  std::vector<uint8_t> live_;   // per-slot occupancy, the scan-mode index
+  std::vector<uint32_t> next_;  // toward the back (colder)
   bool scan_ = true;
-  // True while slots [0, size_) are exactly the live slots (no EvictBack
-  // since the last Reset); enables the key-only dense scan.
-  bool dense_ = true;
   uint32_t capacity_ = 0;
   uint32_t head_ = kNil;
   uint32_t tail_ = kNil;
-  uint32_t free_head_ = kNil;
-  uint64_t size_ = 0;
+  uint32_t size_ = 0;
 };
 
 }  // namespace hunter::common

@@ -75,7 +75,6 @@ bool Rng::Bernoulli(double p) { return Uniform() < p; }
 ZipfParams ZipfParams::Compute(uint64_t n, double theta) {
   ZipfParams params;
   params.n = n;
-  params.theta = theta;
   // Exact zeta for small n; integral-tail approximation for large n
   // (row populations reach tens of millions — an exact sum per (n, theta)
   // change would dominate the whole simulation).
@@ -100,15 +99,6 @@ ZipfParams ZipfParams::Compute(uint64_t n, double theta) {
   // depends only on theta, so it is a cached constant like the others.
   params.pow_half_theta = std::pow(0.5, theta);
   return params;
-}
-
-// hunterlint: hot
-uint64_t Rng::Zipf(uint64_t n, double theta) {
-  if (n <= 1 || theta <= 0.0) return n == 0 ? 0 : NextU64() % n;
-  if (n != zipf_.n || theta != zipf_.theta) {
-    zipf_ = ZipfParams::Compute(n, theta);
-  }
-  return zipf_.Rank(Uniform());
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {

@@ -27,7 +27,6 @@ namespace hunter::common {
 // fixed (n, theta) the u -> rank mapping is bit-identical to the original.
 struct ZipfParams {
   uint64_t n = 0;
-  double theta = -1.0;
   double zetan = 0.0;
   double alpha = 0.0;
   double eta = 0.0;
@@ -75,11 +74,6 @@ class Rng {
   // Bernoulli trial with probability `p` of returning true.
   bool Bernoulli(double p);
 
-  // Zipfian-distributed integer in [0, n) with skew `theta` in [0, 1).
-  // theta = 0 degenerates to uniform. Uses the Gray/Jim-Gray style
-  // approximation used by YCSB-like workload generators.
-  uint64_t Zipf(uint64_t n, double theta);
-
   // Samples an index from an (unnormalized, non-negative) weight vector.
   // If all weights are zero, samples uniformly.
   size_t Categorical(const std::vector<double>& weights);
@@ -100,11 +94,9 @@ class Rng {
   // Exact fingerprint of the draw-relevant generator state: the four
   // xoshiro256** words plus the Box-Muller cache (flag + cached value, the
   // latter bit-cast so NaN-free doubles compare exactly). Two generators
-  // with equal fingerprints produce identical draw sequences. The Zipf
-  // constants are deliberately excluded — they are a pure function of the
-  // last (n, theta) arguments, not of the stream position, so they cannot
-  // change what is drawn next. Used as the seed-stream component of the
-  // simulated engine's steady-state memo key.
+  // with equal fingerprints produce identical draw sequences. Tests and the
+  // bench gates compare it to prove two code paths left a generator at the
+  // same stream position.
   std::array<uint64_t, 6> StateFingerprint() const {
     return {state_[0], state_[1], state_[2], state_[3],
             has_cached_gaussian_ ? 1ull : 0ull,
@@ -117,25 +109,16 @@ class Rng {
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
-
-  // Cached Zipf constants (recomputed when (n, theta) changes).
-  ZipfParams zipf_;
 };
 
-// A Zipf sampler with its constants bound up front, for batch draws where
-// the caller knows (n, theta) ahead of time — e.g. the simulated engine's
-// access-stream generation and lock-table replay. `Sample` consumes exactly
-// one generator advance and produces the same value `Rng::Zipf(n, theta)`
-// would have at the same stream position (the degenerate modulo path
-// included), so switching a call site to a ZipfTable never changes a draw
-// sequence. `Rebind` recomputes the constants only when (n, theta) actually
-// changed, which lets two alternating distributions (page draws vs row
-// draws) each keep a warm table instead of thrashing one shared cache; a
-// small memo of previously computed parameter sets additionally makes
-// re-binding between a handful of recurring distributions (e.g. a tuner
-// alternating two workloads through one engine) free after the first
-// evaluation of each. Memoization is unobservable: a hit returns the exact
-// ZipfParams that `Compute` produced for that (n, theta) the first time.
+// Zipfian-distributed integers in [0, n) with skew `theta` in [0, 1), by
+// the Gray/Jim-Gray style approximation used by YCSB-like workload
+// generators; theta = 0 (or n <= 1) degenerates to uniform. The constants
+// are bound up front, so a caller that draws from one distribution keeps
+// one table. `Sample` consumes exactly one generator advance (the
+// degenerate modulo path included). `Rebind` recomputes the constants only
+// when (n, theta) actually changed, which lets two alternating
+// distributions (page draws vs row draws) each keep a warm table.
 class ZipfTable {
  public:
   ZipfTable() = default;
@@ -147,26 +130,8 @@ class ZipfTable {
     n_ = n;
     theta_ = theta;
     degenerate_ = n <= 1 || theta <= 0.0;
-    if (degenerate_) return;
-    for (const ZipfParams& m : memo_) {
-      if (m.n == n && m.theta == theta) {
-        params_ = m;
-        return;
-      }
-    }
-    params_ = ZipfParams::Compute(n, theta);
-    if (memo_.size() < kMemoEntries) {
-      memo_.push_back(params_);
-    } else {
-      // Round-robin replacement: the memo exists for a few recurring
-      // bindings, so any victim policy beyond "not the newest" is moot.
-      memo_[memo_next_] = params_;
-      memo_next_ = (memo_next_ + 1) % kMemoEntries;
-    }
+    if (!degenerate_) params_ = ZipfParams::Compute(n, theta);
   }
-
-  uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
 
   uint64_t Sample(Rng* rng) const {
     if (degenerate_) return n_ == 0 ? 0 : rng->NextU64() % n_;
@@ -179,15 +144,11 @@ class ZipfTable {
   }
 
  private:
-  static constexpr size_t kMemoEntries = 8;
-
   uint64_t n_ = 0;
   double theta_ = -1.0;
   bool bound_ = false;
   bool degenerate_ = true;
   ZipfParams params_;
-  std::vector<ZipfParams> memo_;
-  size_t memo_next_ = 0;
 };
 
 }  // namespace hunter::common

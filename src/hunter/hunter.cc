@@ -16,9 +16,6 @@ HunterTuner::HunterTuner(const cdb::KnobCatalog* catalog, Rules rules,
     factory_ = std::make_unique<GeneticSampleFactory>(
         catalog_, &rules_, options_.ga, rng_.NextU64());
   }
-  options_.optimizer.use_pca = options_.use_pca;
-  options_.optimizer.use_rf = options_.use_rf;
-  options_.recommender.use_fes = options_.use_fes;
 }
 
 void HunterTuner::BindObservability(obs::Journal* journal) {

@@ -10,10 +10,12 @@
 //             elapses; the best verified configuration is deployed on the
 //             user's instance by the Controller.
 //
-// Ablation flags (use_ga / use_pca / use_rf / use_fes) regenerate the
-// paper's Tables 3-5; with all four disabled HUNTER degenerates to the
-// CDBTune-style pure-DDPG tuner. ExportModel/ImportModel implement the §4
-// model-reuse schemes; ModelRegistry implements the online matching module.
+// Ablation flags regenerate the paper's Tables 3-5: `use_ga` here, and
+// `optimizer.use_pca`, `optimizer.use_rf` and `recommender.use_fes` on the
+// module options they switch; with all four disabled HUNTER degenerates to
+// the CDBTune-style pure-DDPG tuner. ExportModel/ImportModel implement the
+// §4 model-reuse schemes; ModelRegistry implements the online matching
+// module.
 
 #ifndef HUNTER_HUNTER_HUNTER_H_
 #define HUNTER_HUNTER_HUNTER_H_
@@ -36,9 +38,6 @@ namespace hunter::core {
 
 struct HunterOptions {
   bool use_ga = true;
-  bool use_pca = true;
-  bool use_rf = true;
-  bool use_fes = true;
   GaOptions ga;                 // ga.target_samples = 140 by default
   OptimizerOptions optimizer;
   RecommenderOptions recommender;

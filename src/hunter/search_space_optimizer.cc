@@ -1,10 +1,7 @@
 #include "hunter/search_space_optimizer.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
-
-#include "common/thread_pool.h"
 
 namespace hunter::core {
 
@@ -63,11 +60,7 @@ OptimizedSpace SearchSpaceOptimizer::Optimize(
       y[r] = pool[r].fitness;
     }
     ml::RandomForest forest;
-    std::unique_ptr<common::ThreadPool> fit_pool;
-    if (options.rf_fit_threads > 1) {
-      fit_pool = std::make_unique<common::ThreadPool>(options.rf_fit_threads);
-    }
-    forest.Fit(x, y, options.forest, rng, fit_pool.get());
+    forest.Fit(x, y, options.forest, rng);
     const std::vector<size_t> ranking = forest.RankFeatures();
     const size_t keep = std::min(options.top_knobs, tunable.size());
     space.selected_knobs.reserve(keep);

@@ -26,9 +26,6 @@ struct OptimizerOptions {
   double variance_threshold = 0.90;  // PCA CDF cut (Fig. 7: 91% at 13)
   size_t top_knobs = 20;             // knobs kept after sifting (Fig. 8)
   ml::RandomForestOptions forest;    // 200 CARTs by default
-  // Threads for the forest fit (0 or 1 = serial). The fit forks per-tree
-  // RNGs up front, so the result is bit-identical at any thread count.
-  size_t rf_fit_threads = 0;
 };
 
 // The reduced search space handed to the Recommender.

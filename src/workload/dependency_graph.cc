@@ -14,9 +14,7 @@ std::vector<TracedTransaction> GenerateTrace(size_t num_txns,
                                              double writes_per_txn,
                                              common::Rng* rng) {
   std::vector<TracedTransaction> trace(num_txns);
-  // One bound sampler for the whole trace: the constants are computed once
-  // instead of being revalidated on every row draw. The draw sequence is
-  // identical to the rng->Zipf(row_space, zipf_theta) calls it replaces.
+  // One bound sampler for the whole trace: the constants are computed once.
   const common::ZipfTable rows(row_space, zipf_theta);
   for (size_t i = 0; i < num_txns; ++i) {
     trace[i].id = i;

@@ -69,9 +69,10 @@ TEST(BufferPoolTest, HitRatioGrowsWithCapacityUnderZipf) {
   auto measure = [&](uint64_t capacity) {
     BufferPool pool(capacity);
     common::Rng local(42);
-    for (int i = 0; i < 5000; ++i) pool.Access(local.Zipf(4096, 0.8), false);
+    const common::ZipfTable pages(4096, 0.8);
+    for (int i = 0; i < 5000; ++i) pool.Access(pages.Sample(&local), false);
     pool.ResetCounters();
-    for (int i = 0; i < 5000; ++i) pool.Access(local.Zipf(4096, 0.8), false);
+    for (int i = 0; i < 5000; ++i) pool.Access(pages.Sample(&local), false);
     return pool.HitRatio();
   };
   const double small = measure(64);
@@ -85,7 +86,7 @@ TEST(BufferPoolTest, HitRatioGrowsWithCapacityUnderZipf) {
 
 TEST(BufferPoolTest, PrewarmMakesHotPagesResident) {
   BufferPool pool(100);
-  pool.Prewarm(100);
+  pool.Reset(100, 100);
   EXPECT_EQ(pool.resident_pages(), 100u);
   EXPECT_TRUE(pool.Access(0, false));
   EXPECT_TRUE(pool.Access(99, false));
@@ -94,7 +95,7 @@ TEST(BufferPoolTest, PrewarmMakesHotPagesResident) {
 
 TEST(BufferPoolTest, PrewarmRespectsCapacity) {
   BufferPool pool(10);
-  pool.Prewarm(100);
+  pool.Reset(10, 100);
   EXPECT_EQ(pool.resident_pages(), 10u);
 }
 
@@ -126,8 +127,9 @@ void ReplayAndCompare(BufferPool* pool, seedref::SeedBufferPool* seed,
                       common::Rng* rng, uint64_t page_space, double dirty_prob,
                       int steps, uint64_t flush_every, uint64_t flush_budget,
                       const std::string& context) {
+  const common::ZipfTable pages(page_space, 0.9);
   for (int i = 0; i < steps; ++i) {
-    const uint64_t page = rng->Zipf(page_space, 0.9);
+    const uint64_t page = pages.Sample(rng);
     const bool dirty = rng->Bernoulli(dirty_prob);
     const bool want = seed->Access(page, dirty);
     const bool got = pool->Access(page, dirty);
@@ -168,16 +170,14 @@ TEST(BufferPoolEquivalenceTest, AdversarialStreamsMatchSeedExactly) {
       {"prewarmed with flushing", 512, 2048, 0.4, 256, 8, 512},
       // Tight pool with aggressive flush interleaving.
       {"flush every step", 16, 128, 0.9, 1, 2, 16},
-      // Prewarm beyond capacity (clamped inside Prewarm).
+      // Prewarm beyond capacity (clamped to the capacity).
       {"prewarm overflow", 32, 1024, 0.2, 64, 4, 1000},
   };
   for (const Scenario& s : scenarios) {
-    BufferPool pool(s.capacity);
+    BufferPool pool(1);
+    pool.Reset(s.capacity, s.prewarm);
     seedref::SeedBufferPool seed(s.capacity);
-    if (s.prewarm > 0) {
-      pool.Prewarm(s.prewarm);
-      seed.Prewarm(s.prewarm);
-    }
+    seed.Prewarm(s.prewarm);
     common::Rng rng(1234);
     ReplayAndCompare(&pool, &seed, &rng, s.page_space, s.dirty_prob, 4000,
                      s.flush_every, s.flush_budget, s.name);
@@ -185,30 +185,36 @@ TEST(BufferPoolEquivalenceTest, AdversarialStreamsMatchSeedExactly) {
 }
 
 TEST(BufferPoolEquivalenceTest, ResetReplaysLikeAFreshSeedPool) {
-  // One pool driven through Reset cycles of varying capacities must behave
-  // like a factory-fresh seed pool of each capacity — reused slabs carry no
-  // observable state across cycles.
+  // One pool driven through Reset cycles of varying capacities, cold and
+  // prewarmed, must behave like a factory-fresh seed pool of each capacity
+  // prewarmed the same way — reused slabs carry no observable state across
+  // cycles (on both sides of FlatLru::kScanSlots).
   BufferPool pool(2048);  // sizes the slabs once, up front
-  const uint64_t capacities[] = {2048, 64, 1, 512, 64};
+  const struct {
+    uint64_t capacity;
+    uint64_t prewarm;
+  } cycles[] = {{2048, 0}, {64, 64}, {1, 0},
+                {512, 300}, {64, 0}, {2048, 5000}};
   const uint64_t reuses_before = pool.slab_reuses();
   uint64_t expected_resets = pool.resets();
-  for (const uint64_t capacity : capacities) {
-    pool.Reset(capacity);
+  for (const auto& [capacity, prewarm] : cycles) {
+    pool.Reset(capacity, prewarm);
     ++expected_resets;
+    seedref::SeedBufferPool seed(capacity);
+    seed.Prewarm(prewarm);
     EXPECT_EQ(pool.resets(), expected_resets);
     EXPECT_EQ(pool.capacity(), capacity);
-    EXPECT_EQ(pool.resident_pages(), 0u);
+    EXPECT_EQ(pool.resident_pages(), seed.resident_pages());
     EXPECT_EQ(pool.hits(), 0u);
     EXPECT_EQ(pool.misses(), 0u);
     EXPECT_EQ(pool.dirty_pages(), 0u);
-    seedref::SeedBufferPool seed(capacity);
     common::Rng rng(42 + capacity);
     ReplayAndCompare(&pool, &seed, &rng, 4 * capacity, 0.5, 3000, 128, 4,
                      "reset to " + std::to_string(capacity));
   }
   // Every re-arm fits inside the original 2048-page slabs.
   EXPECT_EQ(pool.slab_reuses() - reuses_before,
-            sizeof(capacities) / sizeof(capacities[0]));
+            sizeof(cycles) / sizeof(cycles[0]));
 }
 
 }  // namespace

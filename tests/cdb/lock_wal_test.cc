@@ -1,3 +1,8 @@
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "cdb/lock_manager.h"
@@ -18,11 +23,18 @@ LockSimConfig BaseLockConfig() {
   return config;
 }
 
+// One replay with a fresh row sampler and lock table.
+LockSimResult SimulateFresh(const LockSimConfig& config, common::Rng* rng) {
+  common::ZipfTable zipf;
+  LockManager::Table table;
+  return LockManager::Simulate(config, rng, &zipf, &table);
+}
+
 TEST(LockManagerTest, NoWritesNoConflicts) {
   common::Rng rng(1);
   LockSimConfig config = BaseLockConfig();
   config.writes_per_txn = 0;
-  const LockSimResult result = LockManager::Simulate(config, &rng);
+  const LockSimResult result = SimulateFresh(config, &rng);
   EXPECT_DOUBLE_EQ(result.mean_wait_ms, 0.0);
   EXPECT_DOUBLE_EQ(result.conflict_rate, 0.0);
 }
@@ -32,7 +44,7 @@ TEST(LockManagerTest, HugeKeySpaceHasLowConflict) {
   LockSimConfig config = BaseLockConfig();
   config.hot_rows = 100000000;
   config.zipf_theta = 0.0;
-  const LockSimResult result = LockManager::Simulate(config, &rng);
+  const LockSimResult result = SimulateFresh(config, &rng);
   EXPECT_LT(result.conflict_rate, 0.01);
 }
 
@@ -40,7 +52,7 @@ TEST(LockManagerTest, SmallHotSetConflictsHeavily) {
   common::Rng rng(3);
   LockSimConfig config = BaseLockConfig();
   config.hot_rows = 200;
-  const LockSimResult result = LockManager::Simulate(config, &rng);
+  const LockSimResult result = SimulateFresh(config, &rng);
   EXPECT_GT(result.conflict_rate, 0.2);
   EXPECT_GT(result.mean_wait_ms, 0.1);
 }
@@ -50,9 +62,9 @@ TEST(LockManagerTest, ConflictGrowsWithConcurrency) {
   config.hot_rows = 5000;
   common::Rng rng_low(4), rng_high(4);
   config.concurrency = 4;
-  const LockSimResult low = LockManager::Simulate(config, &rng_low);
+  const LockSimResult low = SimulateFresh(config, &rng_low);
   config.concurrency = 128;
-  const LockSimResult high = LockManager::Simulate(config, &rng_high);
+  const LockSimResult high = SimulateFresh(config, &rng_high);
   EXPECT_GT(high.conflict_rate, low.conflict_rate);
 }
 
@@ -63,9 +75,9 @@ TEST(LockManagerTest, DeadlockDetectionAvoidsTimeouts) {
   config.lock_wait_timeout_ms = 1000.0;
   common::Rng rng_a(5), rng_b(5);
   config.deadlock_detect = true;
-  const LockSimResult with_detect = LockManager::Simulate(config, &rng_a);
+  const LockSimResult with_detect = SimulateFresh(config, &rng_a);
   config.deadlock_detect = false;
-  const LockSimResult without = LockManager::Simulate(config, &rng_b);
+  const LockSimResult without = SimulateFresh(config, &rng_b);
   // Without detection, deadlocked waiters must burn the full timeout.
   EXPECT_GT(without.mean_wait_ms, with_detect.mean_wait_ms);
   EXPECT_GE(without.timeout_rate, with_detect.timeout_rate);
@@ -77,9 +89,44 @@ TEST(LockManagerTest, TimeoutCapsWaits) {
   config.hold_time_ms = 1000.0;
   config.lock_wait_timeout_ms = 10.0;
   common::Rng rng(6);
-  const LockSimResult result = LockManager::Simulate(config, &rng);
+  const LockSimResult result = SimulateFresh(config, &rng);
   // Mean wait cannot exceed a few timeouts' worth per txn.
   EXPECT_LT(result.mean_wait_ms, 50.0);
+}
+
+TEST(LockManagerTest, ReusedSamplerAndTableMatchFreshOnes) {
+  // The engine carries one sampler and one lock table across every stress
+  // test while the workload's hot_rows / zipf_theta change under them. The
+  // carried pair must replay exactly like a fresh pair: same results bit
+  // for bit, and the generator left at the same stream position.
+  const struct {
+    uint64_t hot_rows;
+    double zipf_theta;
+  } steps[] = {
+      {100000, 0.8}, {100000, 0.8}, {100000, 0.6}, {200, 0.9},
+      {5000, 0.0},   {1, 0.8},      {200, 0.9},    {1u << 24, 0.6},
+  };
+  common::ZipfTable zipf;
+  LockManager::Table table;
+  common::Rng reused_rng(77);
+  common::Rng fresh_rng(77);
+  for (const auto& step : steps) {
+    LockSimConfig config = BaseLockConfig();
+    config.num_txns = 500;
+    config.hot_rows = step.hot_rows;
+    config.zipf_theta = step.zipf_theta;
+    const LockSimResult reused =
+        LockManager::Simulate(config, &reused_rng, &zipf, &table);
+    const LockSimResult fresh = SimulateFresh(config, &fresh_rng);
+    const std::string where = "hot_rows=" + std::to_string(step.hot_rows) +
+                              " theta=" + std::to_string(step.zipf_theta);
+    // All four rates, compared as bit patterns.
+    using Bits = std::array<uint64_t, 4>;
+    EXPECT_EQ(std::bit_cast<Bits>(reused), std::bit_cast<Bits>(fresh))
+        << where;
+    ASSERT_EQ(reused_rng.StateFingerprint(), fresh_rng.StateFingerprint())
+        << where;
+  }
 }
 
 TEST(WalModelTest, FlushPolicyOrdering) {

@@ -89,19 +89,24 @@ TEST(FlatLruTest, InsertEvictOrder) {
   EXPECT_EQ(lru.key(lru.back()), 10u);
 
   lru.MoveToFront(lru.Find(10));  // 10 becomes MRU; 11 is now LRU
-  const uint32_t victim = lru.EvictBack();
-  EXPECT_EQ(lru.key(victim), 11u);
+  const uint32_t victim = lru.Find(11);
+  EXPECT_EQ(lru.ReplaceBack(13), victim);  // 13 takes 11's slot, at the front
+  EXPECT_EQ(lru.front(), victim);
+  EXPECT_EQ(lru.Find(13), victim);
   EXPECT_EQ(lru.Find(11), FlatLru::kNil);
   EXPECT_NE(lru.Find(10), FlatLru::kNil);
-  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.key(lru.back()), 12u);
+  EXPECT_EQ(lru.size(), 3u);
 }
 
 TEST(FlatLruTest, InsertBackIsColdest) {
   FlatLru lru(4);
   lru.InsertFront(1);
-  lru.InsertBack(2);
-  EXPECT_EQ(lru.key(lru.back()), 2u);
-  EXPECT_EQ(lru.key(lru.EvictBack()), 2u);
+  const uint32_t slot = lru.InsertBack(2);
+  EXPECT_EQ(lru.back(), slot);
+  EXPECT_EQ(lru.ReplaceBack(3), slot);  // the coldest entry is the victim
+  EXPECT_EQ(lru.Find(2), FlatLru::kNil);
+  EXPECT_EQ(lru.key(lru.back()), 1u);
 }
 
 TEST(FlatLruTest, WalkColdToWarm) {
@@ -128,32 +133,44 @@ TEST(FlatLruTest, ResetReusesSlabAndClears) {
   EXPECT_EQ(lru.size(), 16u);
 }
 
-// Mirror a reference LRU (deque + map) through a random mixed workload.
+// Mirror a reference LRU (deque) through a random mixed workload, the way
+// the buffer pool drives it: fill with InsertFront, then replace the victim
+// in place. One capacity on each side of kScanSlots covers both indexes.
 TEST(FlatLruTest, MatchesReferenceUnderRandomOps) {
-  constexpr uint64_t kCapacity = 13;
-  FlatLru lru(kCapacity);
-  std::deque<uint64_t> ref;  // front = MRU
-  Rng rng(0x10C4);
-  for (int op = 0; op < 30000; ++op) {
-    const uint64_t key = rng.NextU64() % 40;
-    const uint32_t slot = lru.Find(key);
-    const auto it = std::find(ref.begin(), ref.end(), key);
-    ASSERT_EQ(slot != FlatLru::kNil, it != ref.end()) << "op " << op;
-    if (slot != FlatLru::kNil) {
-      lru.MoveToFront(slot);
-      ref.erase(it);
-      ref.push_front(key);
-    } else {
-      if (lru.size() >= kCapacity) {
-        EXPECT_EQ(lru.key(lru.EvictBack()), ref.back());
+  static_assert(13 <= FlatLru::kScanSlots && 200 > FlatLru::kScanSlots);
+  for (const uint64_t capacity : {uint64_t{13}, uint64_t{200}}) {
+    FlatLru lru(capacity);
+    std::deque<uint64_t> ref;  // front = MRU
+    Rng rng(0x10C4);
+    for (int op = 0; op < 30000; ++op) {
+      const uint64_t key = rng.NextU64() % (3 * capacity + 1);
+      const uint32_t slot = lru.Find(key);
+      const auto it = std::find(ref.begin(), ref.end(), key);
+      ASSERT_EQ(slot != FlatLru::kNil, it != ref.end())
+          << "capacity " << capacity << " op " << op;
+      if (slot != FlatLru::kNil) {
+        lru.MoveToFront(slot);
+        ref.erase(it);
+      } else if (lru.size() >= capacity) {
+        const uint32_t victim = lru.back();
+        EXPECT_EQ(lru.ReplaceBack(key), victim);
         ref.pop_back();
+      } else {
+        lru.InsertFront(key);
       }
-      lru.InsertFront(key);
       ref.push_front(key);
+      ASSERT_EQ(lru.size(), ref.size());
+      ASSERT_EQ(lru.key(lru.front()), ref.front());
+      ASSERT_EQ(lru.key(lru.back()), ref.back());
+      if (op % 97 == 0) {
+        std::deque<uint64_t> walked;
+        for (uint32_t at = lru.back(); at != FlatLru::kNil;
+             at = lru.Warmer(at)) {
+          walked.push_front(lru.key(at));
+        }
+        ASSERT_EQ(walked, ref) << "capacity " << capacity << " op " << op;
+      }
     }
-    ASSERT_EQ(lru.size(), ref.size());
-    ASSERT_EQ(lru.key(lru.front()), ref.front());
-    ASSERT_EQ(lru.key(lru.back()), ref.back());
   }
 }
 

@@ -93,17 +93,19 @@ TEST(RngTest, BernoulliMatchesProbability) {
 
 TEST(RngTest, ZipfStaysInRange) {
   Rng rng(29);
+  const ZipfTable zipf(1000, 0.8);
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_LT(rng.Zipf(1000, 0.8), 1000u);
+    EXPECT_LT(zipf.Sample(&rng), 1000u);
   }
 }
 
 TEST(RngTest, ZipfIsSkewedTowardLowRanks) {
   Rng rng(31);
+  const ZipfTable zipf(10000, 0.9);
   int low = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(10000, 0.9) < 100) ++low;  // top 1% of keys
+    if (zipf.Sample(&rng) < 100) ++low;  // top 1% of keys
   }
   // With theta=0.9 the head should absorb far more than the uniform 1%.
   EXPECT_GT(static_cast<double>(low) / n, 0.2);
@@ -111,10 +113,11 @@ TEST(RngTest, ZipfIsSkewedTowardLowRanks) {
 
 TEST(RngTest, ZipfThetaZeroIsUniformish) {
   Rng rng(37);
+  const ZipfTable zipf(1000, 0.0);
   int low = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(1000, 0.0) < 100) ++low;
+    if (zipf.Sample(&rng) < 100) ++low;
   }
   EXPECT_NEAR(static_cast<double>(low) / n, 0.1, 0.02);
 }
@@ -157,10 +160,10 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 // ---------------------------------------------------------------------------
 // Zipf fast-path equivalence. SeedFormulaZipf below is the pre-fast-path
-// Rng::Zipf verbatim (per-Rng constants cache, per-draw std::pow(0.5, theta)
-// in the rank mapping); the cached implementation must reproduce its stream
-// bit for bit — same draws consumed, same ranks returned — across every
-// (n, theta) cache transition and the degenerate paths.
+// per-Rng Zipf draw verbatim (per-Rng constants cache, per-draw
+// std::pow(0.5, theta) in the rank mapping); ZipfTable must reproduce its
+// stream bit for bit — same draws consumed, same ranks returned — across
+// every (n, theta) rebinding and the degenerate paths.
 // ---------------------------------------------------------------------------
 
 struct SeedFormulaZipfState {
@@ -206,9 +209,9 @@ uint64_t SeedFormulaZipf(SeedFormulaZipfState* s, Rng* rng, uint64_t n,
 }
 
 TEST(RngTest, ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions) {
-  // Alternating (n, theta) pairs force a constants recompute on nearly every
-  // draw block, exercising both sides of the cache (small exact-sum n, large
-  // integral-tail n) plus the degenerate paths.
+  // One table rebound through alternating (n, theta) pairs recomputes its
+  // constants on nearly every draw block, exercising small exact-sum n,
+  // large integral-tail n and the degenerate paths (n <= 1, theta <= 0).
   const struct {
     uint64_t n;
     double theta;
@@ -220,11 +223,13 @@ TEST(RngTest, ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions) {
   Rng seed_rng(2024);
   Rng fast_rng(2024);
   SeedFormulaZipfState state;
+  ZipfTable table;
   for (int round = 0; round < 32; ++round) {
     for (const auto& p : params) {
+      table.Rebind(p.n, p.theta);
       for (int i = 0; i < 8; ++i) {
         const uint64_t want = SeedFormulaZipf(&state, &seed_rng, p.n, p.theta);
-        const uint64_t got = fast_rng.Zipf(p.n, p.theta);
+        const uint64_t got = table.Sample(&fast_rng);
         ASSERT_EQ(want, got)
             << "n=" << p.n << " theta=" << p.theta << " round " << round;
       }
@@ -235,13 +240,17 @@ TEST(RngTest, ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions) {
 }
 
 TEST(RngTest, ZipfTableSampleMatchesRngZipfDrawForDraw) {
+  // A table bound once per (n, theta) draws exactly what the per-Rng seed
+  // formula draws at the same stream position.
   Rng direct_rng(7);
   Rng table_rng(7);
+  SeedFormulaZipfState state;
   for (const double theta : {0.0, 0.6, 0.99}) {
     for (const uint64_t n : {uint64_t{1}, uint64_t{512}, uint64_t{1} << 20}) {
       ZipfTable table(n, theta);
       for (int i = 0; i < 64; ++i) {
-        ASSERT_EQ(direct_rng.Zipf(n, theta), table.Sample(&table_rng))
+        ASSERT_EQ(SeedFormulaZipf(&state, &direct_rng, n, theta),
+                  table.Sample(&table_rng))
             << "n=" << n << " theta=" << theta;
       }
     }

@@ -121,9 +121,9 @@ TEST_F(HunterTest, AblationWithoutGaUsesRandomWarmup) {
 TEST_F(HunterTest, AblationFlagsPropagate) {
   auto controller = MakeController(1);
   HunterOptions options = FastOptions();
-  options.use_pca = false;
-  options.use_rf = false;
-  options.use_fes = false;
+  options.optimizer.use_pca = false;
+  options.optimizer.use_rf = false;
+  options.recommender.use_fes = false;
   HunterTuner tuner(&catalog_, Rules(), options, 10);
   for (int round = 0; round < 35; ++round) {
     tuner.Observe(controller->EvaluateBatch(tuner.Propose(1)));
