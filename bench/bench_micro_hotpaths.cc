@@ -1,8 +1,9 @@
 // Perf-regression harness for the batched ML hot paths (ROADMAP: "make a
 // hot path measurably faster") and the engine-evaluation fast path. For
 // each hot path it times the seed implementation (replicated below as the
-// `ref` baselines, in tests/cdb/seed_engine_ref.h for the engine, or
-// reached via Ddpg::TrainStepPerSample) against the rewrite,
+// `ref` baselines, in tests/cdb/seed_engine_ref.h for the engine, in
+// tests/ml/cart_position_ref.h for the position-list CART, or reached via
+// Ddpg::TrainStepPerSample) against the rewrite,
 // asserts the two agree (ML paths to 1e-9; the engine fast path — flat
 // intrusive LRU, cached Zipf samplers, bit-exact early-exit fixed point —
 // bit for bit at tolerance 0.0), and writes machine-readable
@@ -63,6 +64,7 @@
 #include "ml/random_forest.h"
 #include "ml/replay_buffer.h"
 #include "tests/cdb/seed_engine_ref.h"
+#include "tests/ml/cart_position_ref.h"
 #include "workload/workloads.h"
 
 namespace {
@@ -882,13 +884,6 @@ void BenchForest(bool smoke) {
         forest.Fit(x, y, options, &rng);
       },
       iters);
-  const double serial_ms = TimeMs(
-      [&] {
-        Rng rng(0xBEEF07);
-        hunter::ml::RandomForest forest;
-        forest.Fit(x, y, options, &rng);
-      },
-      iters);
   ThreadPool pool(pool_threads);
   const double optimized_ms = TimeMs(
       [&] {
@@ -897,15 +892,115 @@ void BenchForest(bool smoke) {
         forest.Fit(x, y, options, &rng, &pool);
       },
       iters);
-  RecordBench("rf_fit_serial",
-              std::to_string(options.num_trees) + " trees, n=" +
-                  std::to_string(n) + ", d=" + std::to_string(d),
-              baseline_ms, serial_ms);
   RecordBench("rf_fit",
               std::to_string(options.num_trees) + " trees, n=" +
                   std::to_string(n) + ", d=" + std::to_string(d) + ", pool=" +
                   std::to_string(pool.num_threads()),
               baseline_ms, optimized_ms, pool.num_threads());
+}
+
+using PredictFn = std::function<double(const std::vector<double>&)>;
+
+// Max |diff| over two forests' importances and predictions on every row.
+double ForestDiff(const std::vector<double>& importance_a,
+                  const std::vector<double>& importance_b, const Matrix& x,
+                  const PredictFn& predict_a, const PredictFn& predict_b) {
+  double diff = MaxAbsDiff(importance_a, importance_b);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const std::vector<double> row = x.Row(r);
+    diff = std::max(diff, std::abs(predict_a(row) - predict_b(row)));
+  }
+  return diff;
+}
+
+void BenchForestRows(bool smoke) {
+  // The largest knob-sifting pool of a HUNTER-20 run, 1340 samples of 65
+  // tunable knobs, fitted serially as the search-space optimizer does. The
+  // baseline is the position-list CART (tests/ml/cart_position_ref.h),
+  // which materialized every bootstrap copy; the distinct-row CART must
+  // reproduce it bit for bit. A third of the knobs are enum-like (8 levels)
+  // so distinct rows tie. The second row isolates the split-scan kernel:
+  // the same fit with the dispatch pinned to the scalar tier.
+  const size_t n = smoke ? 120 : 1340;
+  const size_t d = smoke ? 20 : 65;
+  hunter::ml::RandomForestOptions options;
+  options.num_trees = smoke ? 10 : 200;
+  const int iters = 1;
+
+  Rng data_rng(0xBEEF0A);
+  Matrix x;
+  std::vector<double> y;
+  MakeRegressionData(n, d, &data_rng, &x, &y);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < d; c += 3) {
+      x.At(r, c) = std::floor(x.At(r, c) * 8.0) / 8.0;
+    }
+  }
+
+  std::vector<hunter::ml::posref::PositionCartTree> ref_trees;
+  std::vector<double> ref_importance;
+  {
+    Rng rng(0xBEEF0B);
+    ref_importance = hunter::ml::posref::PositionForestFit(x, y, options,
+                                                           &rng, &ref_trees);
+  }
+  const auto ref_predict = [&ref_trees](const std::vector<double>& row) {
+    double sum = 0.0;
+    for (const auto& tree : ref_trees) sum += tree.Predict(row);
+    return sum / static_cast<double>(ref_trees.size());
+  };
+  hunter::ml::RandomForest forest;
+  {
+    Rng rng(0xBEEF0B);
+    forest.Fit(x, y, options, &rng);
+  }
+  const auto predict = [&forest](const std::vector<double>& row) {
+    return forest.Predict(row);
+  };
+  RecordEquiv("rf_rows_vs_positions",
+              ForestDiff(ref_importance, forest.feature_importance(), x,
+                         ref_predict, predict),
+              0.0);
+
+  hunter::common::SetSimdTierForTesting(hunter::common::SimdTier::kScalar);
+  hunter::ml::RandomForest scalar_forest;
+  {
+    Rng rng(0xBEEF0B);
+    scalar_forest.Fit(x, y, options, &rng);
+  }
+  hunter::common::ClearSimdTierForTesting();
+  const auto scalar_predict = [&scalar_forest](const std::vector<double>& row) {
+    return scalar_forest.Predict(row);
+  };
+  RecordEquiv("cart_split_scan_simd_vs_scalar",
+              ForestDiff(scalar_forest.feature_importance(),
+                         forest.feature_importance(), x, scalar_predict,
+                         predict),
+              0.0);
+
+  const auto fit = [&] {
+    Rng rng(0xBEEF0B);
+    hunter::ml::RandomForest timed;
+    timed.Fit(x, y, options, &rng);
+  };
+  const double position_ms = TimeMs(
+      [&] {
+        Rng rng(0xBEEF0B);
+        std::vector<hunter::ml::posref::PositionCartTree> trees;
+        hunter::ml::posref::PositionForestFit(x, y, options, &rng, &trees);
+      },
+      iters);
+  hunter::common::SetSimdTierForTesting(hunter::common::SimdTier::kScalar);
+  const double scalar_ms = TimeMs(fit, iters);
+  hunter::common::ClearSimdTierForTesting();
+  const double dispatched_ms = TimeMs(fit, iters);
+  const std::string config = std::to_string(options.num_trees) +
+                             " trees, n=" + std::to_string(n) +
+                             ", d=" + std::to_string(d);
+  RecordBench("rf_fit_serial", config + "; baseline = position-list CART",
+              position_ms, dispatched_ms);
+  RecordBench("cart_split_scan_simd", config + "; scalar tier vs dispatched",
+              scalar_ms, dispatched_ms);
 }
 
 void CheckGpFit(bool smoke) {
@@ -1546,6 +1641,7 @@ int main(int argc, char** argv) {
   BenchMlpStep(smoke);
   BenchDdpg(smoke);
   BenchForest(smoke);
+  BenchForestRows(smoke);
   CheckGpFit(smoke);
   BenchGpEiBatch(smoke);
   BenchZipfDraw(smoke);

@@ -1,7 +1,7 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
 // paths: the GEMM micro-kernels, the elementwise Matrix ops, the GP
-// squared-distance expansion, PCA centering/standardization, and the MLP
-// activation / gradient / Adam / soft-update loops.
+// squared-distance expansion, PCA centering/standardization, the MLP
+// activation / gradient / Adam / soft-update loops, and the CART split scan.
 //
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
@@ -42,6 +42,7 @@
 #define HUNTER_LINALG_SIMD_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/cpu.h"
 
@@ -217,6 +218,59 @@ void ScaleClampIntoScalar(const double* x, double factor, double clip,
                           double* out, size_t n);
 void ScaleClampIntoAvx2(const double* x, double factor, double clip,
                         double* out, size_t n);
+
+// ---------------------------------------------------------------------------
+// CART split scan (ml::CartTree). One call scans up to four candidate
+// features of a tree node, one lane per feature. Lane l walks rows[l][0..k),
+// the node's distinct rows in ascending order of values[l][row]; row r
+// stands for mult[r] >= 1 copies of itself. The lane moves each copy's label
+// from the right child to the left in turn (sum += y, sum_sq += y * y, and
+// the reverse on the right, exactly the per-copy scalar order), then
+// considers the cut between rows[l][j] and rows[l][j + 1]: skipped when the
+// two values are equal or either side holds fewer than min_leaf copies,
+// otherwise
+//   gain = sse - (lsum_sq - lsum * lsum / lcount)
+//              - (rsum_sq - rsum * rsum / rcount)
+// with a separate multiply, divide and subtract per term. Each lane keeps
+// the FIRST cut whose gain is strictly above both `floor` and every earlier
+// cut of the lane, so reducing the lanes in feature order with strict `>`
+// reproduces a scalar scan's first maximum in (feature, cut) order.
+//
+// The scalar kernel scans the lanes one after another. The AVX2 kernel
+// steps all four together: it gathers each feature's next row, applies a
+// row's second and third copies as masked adds (a masked-out lane subtracts
+// +0.0, the identity for every double) and loops only for the rare rows
+// with four or more copies. Counts travel as doubles, exact far beyond any
+// view size (< 2^31 rows). Fewer than four lanes take the scalar kernel.
+// ---------------------------------------------------------------------------
+
+struct SplitScanInput {
+  const uint32_t* rows[4] = {};    // per lane: k distinct rows, by value
+  const double* values[4] = {};    // per lane: the feature column, by row
+  size_t lanes = 0;                // 1..4
+  size_t k = 0;                    // distinct rows in the node
+  const double* labels = nullptr;  // by row
+  const uint32_t* mult = nullptr;  // by row: copies in the view, >= 1 here
+  double sum = 0.0;                // node statistics over all copies
+  double sum_sq = 0.0;
+  double count = 0.0;
+  double sse = 0.0;                // sum_sq - sum * sum / count
+  double min_leaf = 0.0;           // min_samples_leaf
+  double floor = 0.0;              // a lane reports only gains > floor
+};
+
+struct SplitScanResult {
+  double gain[4];  // best gain per lane, `floor` when no cut beats it
+  size_t cut[4];   // its cut j (between rows j and j + 1), k when none
+};
+
+void CartSplitScanScalar(const SplitScanInput& in, SplitScanResult* out);
+void CartSplitScanAvx2(const SplitScanInput& in, SplitScanResult* out);
+
+inline void CartSplitScan(const SplitScanInput& in, SplitScanResult* out) {
+  if (DispatchAvx2()) CartSplitScanAvx2(in, out);
+  else CartSplitScanScalar(in, out);
+}
 
 // Dispatching wrappers for the elementwise kernels.
 

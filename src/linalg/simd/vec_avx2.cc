@@ -261,6 +261,121 @@ void ScaleClampIntoAvx2(const double* x, double factor, double clip,
   }
 }
 
+namespace {
+
+// Applies one more copy of each lane's label where `more` is set, without a
+// blend: a masked-out lane subtracts +0.0, which is the identity for every
+// double (-0.0 and NaN included), and the left sums add y as x - (-y),
+// which IEEE 754 defines as the same operation as x + y.
+inline void AddCopyMasked(__m256d more, __m256d y, __m256d y_sq,
+                          __m256d neg_y, __m256d neg_y_sq, __m256d* lsum,
+                          __m256d* lsq, __m256d* rsum, __m256d* rsq) {
+  *lsum = _mm256_sub_pd(*lsum, _mm256_and_pd(neg_y, more));
+  *lsq = _mm256_sub_pd(*lsq, _mm256_and_pd(neg_y_sq, more));
+  *rsum = _mm256_sub_pd(*rsum, _mm256_and_pd(y, more));
+  *rsq = _mm256_sub_pd(*rsq, _mm256_and_pd(y_sq, more));
+}
+
+}  // namespace
+
+void CartSplitScanAvx2(const SplitScanInput& in, SplitScanResult* out) {
+  if (in.lanes != 4 || in.k < 2) {
+    CartSplitScanScalar(in, out);
+    return;
+  }
+  const uint32_t* r0 = in.rows[0];
+  const uint32_t* r1 = in.rows[1];
+  const uint32_t* r2 = in.rows[2];
+  const uint32_t* r3 = in.rows[3];
+  const double* c0 = in.values[0];
+  const double* c1 = in.values[1];
+  const double* c2 = in.values[2];
+  const double* c3 = in.values[3];
+  const double* labels = in.labels;
+  const uint32_t* mult = in.mult;
+
+  __m256d lsum = _mm256_setzero_pd();
+  __m256d lsq = _mm256_setzero_pd();
+  __m256d lcnt = _mm256_setzero_pd();
+  __m256d rsum = _mm256_set1_pd(in.sum);
+  __m256d rsq = _mm256_set1_pd(in.sum_sq);
+  __m256d rcnt = _mm256_set1_pd(in.count);
+  const __m256d sse = _mm256_set1_pd(in.sse);
+  const __m256d min_leaf = _mm256_set1_pd(in.min_leaf);
+  __m256d best = _mm256_set1_pd(in.floor);
+  __m256d best_cut = _mm256_set1_pd(static_cast<double>(in.k));
+  __m256d cut = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d three = _mm256_set1_pd(3.0);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+
+  uint32_t a0 = r0[0], a1 = r1[0], a2 = r2[0], a3 = r3[0];
+  __m256d v = _mm256_set_pd(c3[a3], c2[a2], c1[a1], c0[a0]);
+  for (size_t j = 0; j + 1 < in.k; ++j) {
+    const uint32_t b0 = r0[j + 1], b1 = r1[j + 1], b2 = r2[j + 1],
+                   b3 = r3[j + 1];
+    const __m256d v_next = _mm256_set_pd(c3[b3], c2[b2], c1[b1], c0[b0]);
+    const __m256d y =
+        _mm256_set_pd(labels[a3], labels[a2], labels[a1], labels[a0]);
+    const __m256d y_sq = _mm256_mul_pd(y, y);
+    const __m256d copies = _mm256_cvtepi32_pd(_mm_set_epi32(
+        static_cast<int>(mult[a3]), static_cast<int>(mult[a2]),
+        static_cast<int>(mult[a1]), static_cast<int>(mult[a0])));
+    const __m256d neg_y = _mm256_xor_pd(y, sign);
+    const __m256d neg_y_sq = _mm256_xor_pd(y_sq, sign);
+
+    // Every row in a stripe has a first copy. The second and third are
+    // applied under a mask whatever the lanes hold (a branch on them would
+    // mispredict often); only the rare rows with four or more copies loop.
+    lsum = _mm256_add_pd(lsum, y);
+    lsq = _mm256_add_pd(lsq, y_sq);
+    rsum = _mm256_sub_pd(rsum, y);
+    rsq = _mm256_sub_pd(rsq, y_sq);
+    AddCopyMasked(_mm256_cmp_pd(copies, one, _CMP_GT_OQ), y, y_sq, neg_y,
+                  neg_y_sq, &lsum, &lsq, &rsum, &rsq);
+    AddCopyMasked(_mm256_cmp_pd(copies, two, _CMP_GT_OQ), y, y_sq, neg_y,
+                  neg_y_sq, &lsum, &lsq, &rsum, &rsq);
+    for (__m256d done = three;; done = _mm256_add_pd(done, one)) {
+      const __m256d more = _mm256_cmp_pd(copies, done, _CMP_GT_OQ);
+      if (_mm256_movemask_pd(more) == 0) break;
+      AddCopyMasked(more, y, y_sq, neg_y, neg_y_sq, &lsum, &lsq, &rsum,
+                    &rsq);
+    }
+    lcnt = _mm256_add_pd(lcnt, copies);
+    rcnt = _mm256_sub_pd(rcnt, copies);
+
+    // The scalar skips: equal values (NEQ_UQ is exactly !(==)), then either
+    // side below min_leaf (NLT_UQ is exactly !(<)).
+    const __m256d valid = _mm256_and_pd(
+        _mm256_cmp_pd(v, v_next, _CMP_NEQ_UQ),
+        _mm256_and_pd(_mm256_cmp_pd(lcnt, min_leaf, _CMP_NLT_UQ),
+                      _mm256_cmp_pd(rcnt, min_leaf, _CMP_NLT_UQ)));
+    const __m256d left_sse = _mm256_sub_pd(
+        lsq, _mm256_div_pd(_mm256_mul_pd(lsum, lsum), lcnt));
+    const __m256d right_sse = _mm256_sub_pd(
+        rsq, _mm256_div_pd(_mm256_mul_pd(rsum, rsum), rcnt));
+    const __m256d gain =
+        _mm256_sub_pd(_mm256_sub_pd(sse, left_sse), right_sse);
+    const __m256d better =
+        _mm256_and_pd(valid, _mm256_cmp_pd(gain, best, _CMP_GT_OQ));
+    best = _mm256_blendv_pd(best, gain, better);
+    best_cut = _mm256_blendv_pd(best_cut, cut, better);
+    cut = _mm256_add_pd(cut, one);
+
+    v = v_next;
+    a0 = b0;
+    a1 = b1;
+    a2 = b2;
+    a3 = b3;
+  }
+
+  double cuts[4];
+  _mm256_storeu_pd(out->gain, best);
+  _mm256_storeu_pd(cuts, best_cut);
+  for (size_t l = 0; l < 4; ++l) out->cut[l] = static_cast<size_t>(cuts[l]);
+}
+
 }  // namespace hunter::linalg::simd
 
 #else  // !(__x86_64__ && __AVX2__)
@@ -322,6 +437,9 @@ void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
 void ScaleClampIntoAvx2(const double* x, double factor, double clip,
                         double* out, size_t n) {
   ScaleClampIntoScalar(x, factor, clip, out, n);
+}
+void CartSplitScanAvx2(const SplitScanInput& in, SplitScanResult* out) {
+  CartSplitScanScalar(in, out);
 }
 
 }  // namespace hunter::linalg::simd

@@ -109,4 +109,39 @@ void ScaleClampIntoScalar(const double* x, double factor, double clip,
   }
 }
 
+void CartSplitScanScalar(const SplitScanInput& in, SplitScanResult* out) {
+  for (size_t l = 0; l < in.lanes; ++l) {
+    const uint32_t* rows = in.rows[l];
+    const double* values = in.values[l];
+    double lsum = 0.0, lsq = 0.0, lcnt = 0.0;
+    double rsum = in.sum, rsq = in.sum_sq, rcnt = in.count;
+    double best = in.floor;
+    size_t best_cut = in.k;
+    for (size_t j = 0; j + 1 < in.k; ++j) {
+      const uint32_t row = rows[j];
+      const double y = in.labels[row];
+      const double y_sq = y * y;
+      const uint32_t copies = in.mult[row];
+      for (uint32_t c = 0; c < copies; ++c) {
+        lsum += y;
+        lsq += y_sq;
+        rsum -= y;
+        rsq -= y_sq;
+      }
+      lcnt += copies;
+      rcnt -= copies;
+      if (values[row] == values[rows[j + 1]]) continue;
+      if (lcnt < in.min_leaf || rcnt < in.min_leaf) continue;
+      const double gain = in.sse - (lsq - lsum * lsum / lcnt) -
+                          (rsq - rsum * rsum / rcnt);
+      if (gain > best) {
+        best = gain;
+        best_cut = j;
+      }
+    }
+    out->gain[l] = best;
+    out->cut[l] = best_cut;
+  }
+}
+
 }  // namespace hunter::linalg::simd

@@ -1,11 +1,11 @@
 #include "ml/cart.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <numeric>
+#include <stdexcept>
+
+#include "linalg/simd/simd.h"
 
 namespace hunter::ml {
 
@@ -21,11 +21,6 @@ struct SplitStats {
     sum_sq += y * y;
     ++count;
   }
-  void Remove(double y) {
-    sum -= y;
-    sum_sq -= y * y;
-    --count;
-  }
   // Sum of squared deviations from the mean (count * variance).
   double SumSquaredError() const {
     if (count == 0) return 0.0;
@@ -38,45 +33,54 @@ struct SplitStats {
 
 }  // namespace
 
-// The whole training view, gathered once per fit. `values` and `sorted` are
-// feature-major (d stripes of m entries); the [begin, end) segment of every
-// feature's `sorted` stripe always holds exactly the positions belonging to
-// the current node, in ascending feature-value order. Positions (0..m-1)
-// index into the gathered view, so a bootstrap row that appears twice is
-// simply two positions with identical values.
+// The training view as distinct rows: `mult[row]` counts a row's copies in
+// the view and each feature stripe holds every distinct row once, in the
+// presort's order. Within a node the stripes' [row_begin, row_end)
+// segments hold its distinct rows and `order`'s [begin, end) segment its
+// copies.
+//
+// Why this fits the same tree, bit for bit, as a list with one entry per
+// copy (tests/ml/cart_position_ref.h): in such a sorted list a row's copies
+// sit next to each other with no cut between them (equal values), so adding
+// a row's label mult[row] times in a row and then considering the one cut
+// after it is the same sequence of additions and the same candidate cuts.
+// Node statistics sum over `order`, the copies in draw order, because that
+// is the seed's insertion order; gains that tie up to ~1e-16 of summation
+// noise decide the winning feature.
 struct CartTree::Scratch {
-  size_t m = 0;                    // rows in the view
+  size_t n = 0;                    // rows in x
   size_t d = 0;                    // features
-  std::vector<double> values;      // d x m, values[f*m + pos]
-  std::vector<double> labels;      // m
-  std::vector<uint32_t> sorted;    // d x m position lists
-  // Positions in insertion order, stable-partitioned at every split — the
-  // same order the original (seed) implementation kept its index array in.
-  // Node statistics accumulate over this list so gains are bit-identical to
-  // the seed's, which matters when two features induce the same partition
-  // and the winner is decided by ~1e-16 summation-order noise.
-  std::vector<uint32_t> order;
-  std::vector<uint8_t> go_left;    // m, split routing flags
-  std::vector<uint32_t> tmp;       // right-side positions during partition
+  size_t rows = 0;                 // distinct rows in the view
+  const double* columns = nullptr; // the presort's feature-major x
+  const double* labels = nullptr;  // y
+  std::vector<uint32_t> mult;      // n, copies of each row in the view
+  std::vector<uint32_t> order;     // the view's rows in draw order
+  std::vector<uint32_t> stripes;   // d stripes of `rows` distinct rows
+  std::vector<uint8_t> go_left;    // n, split routing flags by row
+  std::vector<uint32_t> tmp;       // right-side entries during partition
   std::vector<size_t> features;    // per-node candidate features
-  // Counting-pass buckets used to derive sorted stripes from a shared
-  // FeaturePresort: positions grouped by source row, ascending within a row.
-  std::vector<uint32_t> row_offset;  // n + 1 prefix offsets
-  std::vector<uint32_t> pos_by_row;  // m positions
 };
 
 void FeaturePresort::Build(const linalg::Matrix& x) {
+  if (x.rows() >= UINT32_MAX) {
+    throw std::invalid_argument(
+        "FeaturePresort: row ids are 32-bit, the matrix has too many rows");
+  }
   num_rows = x.rows();
   num_features = x.cols();
-  assert(num_rows < UINT32_MAX);
+  columns.resize(num_features * num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t f = 0; f < num_features; ++f) {
+      columns[f * num_rows + r] = x.At(r, f);
+    }
+  }
   sorted_rows.resize(num_features * num_rows);
   for (size_t f = 0; f < num_features; ++f) {
     uint32_t* seg = sorted_rows.data() + f * num_rows;
+    const double* vals = columns.data() + f * num_rows;
     std::iota(seg, seg + num_rows, 0u);
-    std::sort(seg, seg + num_rows, [&x, f](uint32_t a, uint32_t b) {
-      const double va = x.At(a, f);
-      const double vb = x.At(b, f);
-      if (va != vb) return va < vb;
+    std::sort(seg, seg + num_rows, [vals](uint32_t a, uint32_t b) {
+      if (vals[a] != vals[b]) return vals[a] < vals[b];
       return a < b;
     });
   }
@@ -96,74 +100,65 @@ void CartTree::FitIndices(const linalg::Matrix& x,
                           const FeaturePresort* presort) {
   nodes_.clear();
   importance_.assign(x.cols(), 0.0);
+  if (presort != nullptr &&
+      (presort->num_rows != x.rows() || presort->num_features != x.cols())) {
+    throw std::invalid_argument(
+        "CartTree::FitIndices: presort was built for a matrix of another "
+        "shape");
+  }
+  if (row_indices.size() > static_cast<size_t>(INT32_MAX)) {
+    throw std::invalid_argument(
+        "CartTree::FitIndices: the split scan counts copies in 32 bits, the "
+        "view has too many rows");
+  }
   if (row_indices.empty()) return;
-  assert(row_indices.size() < UINT32_MAX);
+  FeaturePresort own_presort;
+  if (presort == nullptr) {
+    own_presort.Build(x);
+    presort = &own_presort;
+  }
 
   // One scratch arena per thread, reused across trees: a forest fit keeps
-  // the gather/sort buffers warm instead of reallocating them per tree.
+  // the buffers warm instead of reallocating them per tree.
   static thread_local Scratch scratch;
   Scratch& s = scratch;
-  s.m = row_indices.size();
+  s.n = x.rows();
   s.d = x.cols();
-  s.values.resize(s.d * s.m);
-  s.labels.resize(s.m);
+  s.columns = presort->columns.data();
+  s.labels = y.data();
   s.features.clear();
-  for (size_t i = 0; i < s.m; ++i) {
-    const size_t row = row_indices[i];
-    s.labels[i] = y[row];
-    for (size_t f = 0; f < s.d; ++f) s.values[f * s.m + i] = x.At(row, f);
+  s.mult.assign(s.n, 0);
+  s.order.resize(row_indices.size());
+  for (size_t i = 0; i < row_indices.size(); ++i) {
+    const uint32_t row = static_cast<uint32_t>(row_indices[i]);
+    s.order[i] = row;
+    ++s.mult[row];
   }
-  s.sorted.resize(s.d * s.m);
-  if (presort != nullptr && presort->num_rows == x.rows() &&
-      presort->num_features == s.d) {
-    // Derive each feature's sorted position list from the shared row order:
-    // bucket positions by source row (ascending position within a bucket),
-    // then emit buckets in the presorted row order. O(n + m) per feature.
-    const size_t n = presort->num_rows;
-    s.row_offset.assign(n + 1, 0);
-    for (size_t i = 0; i < s.m; ++i) ++s.row_offset[row_indices[i] + 1];
-    for (size_t r = 0; r < n; ++r) s.row_offset[r + 1] += s.row_offset[r];
-    s.pos_by_row.resize(s.m);
-    {
-      std::vector<uint32_t> cursor(s.row_offset.begin(),
-                                   s.row_offset.end() - 1);
-      for (size_t i = 0; i < s.m; ++i) {
-        s.pos_by_row[cursor[row_indices[i]]++] = static_cast<uint32_t>(i);
-      }
-    }
-    for (size_t f = 0; f < s.d; ++f) {
-      uint32_t* seg = s.sorted.data() + f * s.m;
-      const uint32_t* rows = presort->sorted_rows.data() + f * n;
-      size_t out = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t row = rows[i];
-        for (uint32_t q = s.row_offset[row]; q < s.row_offset[row + 1]; ++q) {
-          seg[out++] = s.pos_by_row[q];
-        }
-      }
-    }
-  } else {
-    // One sort per feature for the whole tree; ties break by position, which
-    // keeps duplicated bootstrap rows in a deterministic order.
-    for (size_t f = 0; f < s.d; ++f) {
-      uint32_t* seg = s.sorted.data() + f * s.m;
-      std::iota(seg, seg + s.m, 0u);
-      const double* vals = s.values.data() + f * s.m;
-      std::sort(seg, seg + s.m, [vals](uint32_t a, uint32_t b) {
-        if (vals[a] != vals[b]) return vals[a] < vals[b];
-        return a < b;
-      });
+  s.rows = 0;
+  for (size_t r = 0; r < s.n; ++r) s.rows += s.mult[r] != 0 ? 1 : 0;
+  // Keep the presort's rows that the view holds. The store is
+  // unconditional and only the cursor depends on the row (a branch on
+  // mult would mispredict on ~37% of rows); the one-past-the-end store
+  // lands in the next stripe before it is written, or in the spare slot.
+  s.stripes.resize(s.d * s.rows + 1);
+  for (size_t f = 0; f < s.d; ++f) {
+    uint32_t* seg = s.stripes.data() + f * s.rows;
+    const uint32_t* sorted = presort->sorted_rows.data() + f * s.n;
+    size_t out = 0;
+    for (size_t i = 0; i < s.n; ++i) {
+      const uint32_t row = sorted[i];
+      seg[out] = row;
+      out += s.mult[row] != 0 ? 1 : 0;
     }
   }
-  s.order.resize(s.m);
-  std::iota(s.order.begin(), s.order.end(), 0);
-  s.go_left.resize(s.m);
-  s.tmp.resize(s.m);
+  s.go_left.resize(s.n);
+  s.tmp.resize(s.order.size());
 
-  BuildNode(s, 0, s.m, 0, options, rng);
+  BuildNode(s, 0, s.order.size(), 0, s.rows, 0, options, rng);
 }
 
-int CartTree::BuildNode(Scratch& s, size_t begin, size_t end, int depth,
+int CartTree::BuildNode(Scratch& s, size_t begin, size_t end,
+                        size_t row_begin, size_t row_end, int depth,
                         const CartOptions& options, common::Rng* rng) {
   const size_t count = end - begin;
   SplitStats node_stats;
@@ -191,85 +186,103 @@ int CartTree::BuildNode(Scratch& s, size_t begin, size_t end, int depth,
   if (feature_budget < s.d) rng->Shuffle(&s.features);
   s.features.resize(feature_budget);
 
+  // Scan the candidates four at a time, one kernel lane per feature. Each
+  // lane returns its feature's first maximum; taking lanes in candidate
+  // order with strict `>` keeps the first maximum in (feature, cut) order.
+  linalg::simd::SplitScanInput in;
+  in.k = row_end - row_begin;
+  in.labels = s.labels;
+  in.mult = s.mult.data();
+  in.sum = node_stats.sum;
+  in.sum_sq = node_stats.sum_sq;
+  in.count = static_cast<double>(count);
+  in.sse = node_sse;
+  in.min_leaf = static_cast<double>(options.min_samples_leaf);
   double best_gain = 1e-12;
   size_t best_feature = 0;
   double best_threshold = 0.0;
-
-  for (const size_t feature : s.features) {
-    const double* vals = s.values.data() + feature * s.m;
-    const uint32_t* seg = s.sorted.data() + feature * s.m;
-    SplitStats left;
-    SplitStats right = node_stats;
-    for (size_t i = begin; i + 1 < end; ++i) {
-      const uint32_t pos = seg[i];
-      left.Add(s.labels[pos]);
-      right.Remove(s.labels[pos]);
-      if (vals[pos] == vals[seg[i + 1]]) continue;  // no valid cut
-      if (left.count < options.min_samples_leaf ||
-          right.count < options.min_samples_leaf) {
-        continue;
-      }
-      const double gain =
-          node_sse - left.SumSquaredError() - right.SumSquaredError();
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_feature = feature;
-        best_threshold = 0.5 * (vals[pos] + vals[seg[i + 1]]);
+  for (size_t first = 0; first < feature_budget; first += 4) {
+    in.lanes = std::min<size_t>(4, feature_budget - first);
+    for (size_t l = 0; l < in.lanes; ++l) {
+      const size_t feature = s.features[first + l];
+      in.rows[l] = s.stripes.data() + feature * s.rows + row_begin;
+      in.values[l] = s.columns + feature * s.n;
+    }
+    in.floor = best_gain;
+    linalg::simd::SplitScanResult result;
+    linalg::simd::CartSplitScan(in, &result);
+    for (size_t l = 0; l < in.lanes; ++l) {
+      if (result.gain[l] > best_gain) {
+        const size_t cut = result.cut[l];
+        best_gain = result.gain[l];
+        best_feature = s.features[first + l];
+        best_threshold = 0.5 * (in.values[l][in.rows[l][cut]] +
+                                in.values[l][in.rows[l][cut + 1]]);
       }
     }
   }
 
   if (best_gain <= 1e-12) return node_id;
 
-  // Route each position and bail on a degenerate partition (possible when
-  // the midpoint threshold rounds onto one of the two cut values).
-  const double* best_vals = s.values.data() + best_feature * s.m;
+  // Route each distinct row and bail on a degenerate partition (possible
+  // when the midpoint threshold rounds onto one of the two cut values).
+  const double* best_vals = s.columns + best_feature * s.n;
+  const uint32_t* best_seg = s.stripes.data() + best_feature * s.rows;
+  size_t left_rows = 0;
   size_t left_count = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const uint32_t pos = s.order[i];
-    const bool go_left = best_vals[pos] <= best_threshold;
-    s.go_left[pos] = go_left ? 1 : 0;
-    left_count += go_left ? 1 : 0;
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const uint32_t row = best_seg[i];
+    const uint8_t go_left = best_vals[row] <= best_threshold ? 1 : 0;
+    s.go_left[row] = go_left;
+    left_rows += go_left;
+    left_count += go_left * s.mult[row];
   }
-  if (left_count == 0 || left_count == count) return node_id;
+  if (left_rows == 0 || left_rows == row_end - row_begin) return node_id;
 
   importance_[best_feature] += best_gain;
 
-  // Stable in-place partition of the insertion-order list and of every
-  // feature's segment: left positions compact forward in order, right
-  // positions park in tmp and are copied back behind them. Each child
-  // segment therefore stays sorted (and `order` stays in seed order).
-  // Every element is written to both destinations and only the matching
-  // cursor advances: the side an element lands on is close to a coin flip,
-  // and a data-dependent branch here mispredicts on roughly half of the
-  // (count x num_features) elements partitioned per split. A left write
-  // targets seg[write] with write <= i, so no unread element is clobbered.
-  const auto partition_segment = [&](uint32_t* seg) {
-    size_t write = begin;
+  // Stable in-place partition of `order` and of every feature's segment:
+  // left entries compact forward in order, right entries park in tmp and
+  // are copied back behind them. Each child segment therefore stays sorted
+  // (and `order` stays in draw order). Every element is written to both
+  // destinations and only the matching cursor advances: the side an element
+  // lands on is close to a coin flip, and a data-dependent branch here
+  // mispredicts on roughly half of the elements. A left write targets
+  // seg[write] with write <= i, so no unread element is clobbered.
+  const auto partition_segment = [&](uint32_t* seg, size_t from, size_t to) {
+    size_t write = from;
     size_t parked = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t pos = seg[i];
-      const uint8_t flag = s.go_left[pos];
-      seg[write] = pos;
-      s.tmp[parked] = pos;
+    for (size_t i = from; i < to; ++i) {
+      const uint32_t row = seg[i];
+      const uint8_t flag = s.go_left[row];
+      seg[write] = row;
+      s.tmp[parked] = row;
       write += flag;
       parked += static_cast<size_t>(1 - flag);
     }
     std::copy(s.tmp.begin(), s.tmp.begin() + static_cast<long>(parked),
               seg + write);
   };
-  partition_segment(s.order.data());
-  for (size_t f = 0; f < s.d; ++f) {
-    partition_segment(s.sorted.data() + f * s.m);
+  partition_segment(s.order.data(), begin, end);
+  // Children that cannot split never read the stripes.
+  const size_t min_split = 2 * options.min_samples_leaf;
+  if (depth + 1 < options.max_depth &&
+      (left_count >= min_split || count - left_count >= min_split)) {
+    for (size_t f = 0; f < s.d; ++f) {
+      partition_segment(s.stripes.data() + f * s.rows, row_begin, row_end);
+    }
   }
   const size_t split = begin + left_count;
+  const size_t row_split = row_begin + left_rows;
 
   nodes_[node_id].is_leaf = false;
   nodes_[node_id].feature = best_feature;
   nodes_[node_id].threshold = best_threshold;
-  const int left_id = BuildNode(s, begin, split, depth + 1, options, rng);
+  const int left_id = BuildNode(s, begin, split, row_begin, row_split,
+                                depth + 1, options, rng);
   nodes_[node_id].left = left_id;
-  const int right_id = BuildNode(s, split, end, depth + 1, options, rng);
+  const int right_id = BuildNode(s, split, end, row_split, row_end,
+                                 depth + 1, options, rng);
   nodes_[node_id].right = right_id;
   return node_id;
 }

@@ -26,18 +26,22 @@ struct CartOptions {
 };
 
 // Shared per-dataset sort index: for every feature, the rows of `x` in
-// ascending feature-value order (ties by row index). A forest builds this
-// once and every tree derives its bootstrap view's sorted position lists
-// from it with a linear counting pass, replacing the per-tree
-// O(d * m log m) comparison sorts. Read-only after Build, so the pool
-// workers can share one instance without synchronization.
+// ascending feature-value order (ties by row index), plus a feature-major
+// copy of `x`. A forest builds this once; every tree derives its stripes of
+// distinct bootstrap rows from it with one branchless pass per feature and
+// reads feature values from `columns` instead of gathering its own copy.
+// Read-only after Build, so the pool workers can share one instance without
+// synchronization.
 struct FeaturePresort {
   size_t num_rows = 0;
   size_t num_features = 0;
   // 32-bit row ids: the index stripes are the hottest data the splitter
   // streams, and halving them doubles the rows per cache line.
   std::vector<uint32_t> sorted_rows;  // num_features stripes of num_rows
+  std::vector<double> columns;        // num_features stripes of num_rows
 
+  // Throws std::invalid_argument when `x` has UINT32_MAX rows or more (row
+  // ids are 32-bit).
   void Build(const linalg::Matrix& x);
 };
 
@@ -50,12 +54,9 @@ class CartTree {
   // Fits on a view of `x` given by `row_indices` (duplicates allowed — this
   // is how the forest expresses bootstrap samples without materializing a
   // copied design matrix). Fit(x, y, ...) is FitIndices with the identity
-  // index set. When `presort` is provided (built for this same `x`), the
-  // per-feature sorted position lists are derived from it in O(n + m) per
-  // feature instead of sorted per tree; with or without it the fit is
-  // deterministic, and the two modes agree whenever no two distinct rows
-  // share a feature value (equal-value runs are never cut, so ties only
-  // permute summation order within a run).
+  // index set. `presort` must be built for `x`; without one, FitIndices
+  // builds it. Throws std::invalid_argument when `presort` has another
+  // shape than `x` or the view holds 2^31 rows or more.
   void FitIndices(const linalg::Matrix& x, const std::vector<double>& y,
                   const std::vector<size_t>& row_indices,
                   const CartOptions& options, common::Rng* rng,
@@ -81,14 +82,14 @@ class CartTree {
     int right = -1;
   };
 
-  // Per-fit working set: a feature-major gather of the training view plus
-  // one pre-sorted position list per feature. The sort happens once at the
-  // root; every split then scans candidate cuts in O(count) and partitions
-  // all feature lists stably, so no per-node sorting or allocation remains.
+  // Per-fit working set: how many copies of each row the view holds, the
+  // view's rows in draw order, and one stripe per feature of the view's
+  // distinct rows in ascending value order. A node owns a range of each.
   struct Scratch;
 
-  int BuildNode(Scratch& s, size_t begin, size_t end, int depth,
-                const CartOptions& options, common::Rng* rng);
+  int BuildNode(Scratch& s, size_t begin, size_t end, size_t row_begin,
+                size_t row_end, int depth, const CartOptions& options,
+                common::Rng* rng);
 
   std::vector<Node> nodes_;
   std::vector<double> importance_;

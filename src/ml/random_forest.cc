@@ -29,7 +29,7 @@ void RandomForest::Fit(const linalg::Matrix& x, const std::vector<double>& y,
   for (size_t t = 0; t < trees_.size(); ++t) tree_rngs.push_back(rng->Fork());
 
   // Sort every feature once for the whole forest; each tree then derives
-  // its bootstrap view's sorted lists from this shared read-only index.
+  // its stripes of distinct bootstrap rows from this shared read-only index.
   FeaturePresort presort;
   presort.Build(x);
 

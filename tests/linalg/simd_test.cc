@@ -10,6 +10,7 @@
 
 #include "linalg/simd/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -253,6 +254,132 @@ const GemmShape kGemmShapes[] = {
     {12, 16, 24}, {13, 5, 11}, {3, 64, 33}, {17, 31, 20}, {6, 1, 8},
     {1, 16, 5},  {31, 2, 3},  {19, 24, 40},
 };
+
+// One node of a CART split scan: `k` rows with 1..max_copies copies each,
+// labels, and per-lane feature columns sorted into stripes (ties by row id,
+// as the presort orders them). Columns take `levels` distinct values, so
+// small `levels` make long equal-value runs.
+struct SplitScanCase {
+  std::vector<double> labels;
+  std::vector<uint32_t> mult;
+  std::vector<std::vector<double>> columns;
+  std::vector<std::vector<uint32_t>> stripes;
+  SplitScanInput in;
+};
+
+// Recomputes the node statistics after a test edits labels or copies.
+void RefreshNodeStats(SplitScanCase* c) {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  double count = 0.0;
+  for (size_t r = 0; r < c->labels.size(); ++r) {
+    for (uint32_t copy = 0; copy < c->mult[r]; ++copy) {
+      sum += c->labels[r];
+      sum_sq += c->labels[r] * c->labels[r];
+    }
+    count += c->mult[r];
+  }
+  c->in.sum = sum;
+  c->in.sum_sq = sum_sq;
+  c->in.count = count;
+  c->in.sse = sum_sq - sum * sum / count;
+}
+
+void MakeSplitScanCase(size_t k, size_t lanes, uint32_t max_copies,
+                       int levels, Rng* rng, SplitScanCase* c) {
+  c->labels.resize(k);
+  c->mult.resize(k);
+  c->columns.assign(lanes, std::vector<double>(k));
+  c->stripes.assign(lanes, std::vector<uint32_t>(k));
+  for (size_t r = 0; r < k; ++r) {
+    c->labels[r] = rng->Uniform(-3.0, 5.0);
+    c->mult[r] = static_cast<uint32_t>(rng->UniformInt(1, max_copies));
+  }
+  // Signed zeros: the masked-out lanes of the AVX2 kernel must leave every
+  // sum's bits alone, and a zero label makes sums cancel to zero.
+  if (k > 3) c->labels[k / 3] = -0.0;
+  if (k > 2) c->labels[k / 2] = 0.0;
+  for (size_t l = 0; l < lanes; ++l) {
+    std::vector<double>& col = c->columns[l];
+    for (double& v : col) {
+      v = static_cast<double>(rng->UniformInt(0, levels - 1)) / levels;
+    }
+    std::vector<uint32_t>& seg = c->stripes[l];
+    for (size_t r = 0; r < k; ++r) seg[r] = static_cast<uint32_t>(r);
+    std::stable_sort(seg.begin(), seg.end(), [&col](uint32_t a, uint32_t b) {
+      return col[a] < col[b];
+    });
+    c->in.rows[l] = seg.data();
+    c->in.values[l] = col.data();
+  }
+  c->in.lanes = lanes;
+  c->in.k = k;
+  c->in.labels = c->labels.data();
+  c->in.mult = c->mult.data();
+  c->in.floor = 1e-12;
+  RefreshNodeStats(c);
+}
+
+void ExpectSplitScanBitIdentical(const SplitScanInput& in) {
+  SplitScanResult scalar;
+  SplitScanResult avx2;
+  CartSplitScanScalar(in, &scalar);
+  CartSplitScanAvx2(in, &avx2);
+  for (size_t l = 0; l < in.lanes; ++l) {
+    EXPECT_EQ(Bits(scalar.gain[l]), Bits(avx2.gain[l])) << "lane " << l;
+    EXPECT_EQ(scalar.cut[l], avx2.cut[l]) << "lane " << l;
+  }
+}
+
+TEST(SimdSplitScanTest, CartSplitScanBitIdentical) {
+  Rng rng(0x5C4A);
+  // Row counts from the no-cut node (1) up; lane counts 1..4 cover the
+  // scalar forward for a tail group; copies 1..max_copies cover the
+  // unconditional first copy, the two masked copies and the >= 4 loop.
+  for (const size_t k : {1u, 2u, 3u, 5u, 8u, 17u, 64u}) {
+    for (size_t lanes = 1; lanes <= 4; ++lanes) {
+      for (const uint32_t max_copies : {1u, 2u, 3u, 4u, 9u}) {
+        for (const int levels : {2, 5, 1000}) {
+          SplitScanCase c;
+          MakeSplitScanCase(k, lanes, max_copies, levels, &rng, &c);
+          SCOPED_TRACE(::testing::Message()
+                       << "k " << k << ", lanes " << lanes << ", copies <= "
+                       << max_copies << ", levels " << levels);
+          // min_leaf from "always satisfied" to "never satisfied", through
+          // the values a side's count meets exactly at some cut.
+          const double total = c.in.count;
+          for (const double min_leaf :
+               {0.0, 1.0, 2.0, 5.0, std::floor(total / 2.0),
+                std::floor(total / 2.0) + 1.0, total}) {
+            c.in.min_leaf = min_leaf;
+            c.in.floor = 1e-12;
+            ExpectSplitScanBitIdentical(c.in);
+            // A floor above some gains: lanes report only strict winners.
+            c.in.floor = c.in.sse * 0.25;
+            ExpectSplitScanBitIdentical(c.in);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSplitScanTest, CartSplitScanEveryRowHeavy) {
+  // Every row has exactly `copies` copies, so every lane takes the >= 4
+  // loop on every step; constant labels then make every gain ~0.
+  Rng rng(0x5C4B);
+  for (const uint32_t copies : {4u, 5u, 9u}) {
+    SplitScanCase c;
+    MakeSplitScanCase(33, 4, 1, 7, &rng, &c);
+    std::fill(c.mult.begin(), c.mult.end(), copies);
+    RefreshNodeStats(&c);
+    c.in.min_leaf = 2.0;
+    ExpectSplitScanBitIdentical(c.in);
+    std::fill(c.labels.begin(), c.labels.end(), 1.5);
+    RefreshNodeStats(&c);
+    ExpectSplitScanBitIdentical(c.in);
+  }
+}
 
 TEST(SimdGemmTest, GemmIntoBitIdentical) {
   Rng rng(0x51D007);

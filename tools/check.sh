@@ -59,7 +59,8 @@ echo "== [4/11] bench equivalence smoke =="
 for gate in zipf_stream_vs_seed bufferpool_replay_vs_seed \
     engine_cold_vs_seed engine_cold_rng_stream gp_fit_vs_seed \
     gemm_simd_vs_scalar gp_kernel_simd_vs_scalar \
-    mlp_forward_simd_vs_scalar; do
+    mlp_forward_simd_vs_scalar rf_rows_vs_positions \
+    cart_split_scan_simd_vs_scalar; do
   grep -q "\"$gate\"" build-check/bench_hotpaths_smoke.json || {
     echo "bench smoke: equivalence gate '$gate' missing from report" >&2
     exit 1
