@@ -2,8 +2,10 @@
 // hot path measurably faster") and the engine-evaluation fast path. For
 // each hot path it times the seed implementation (replicated below as the
 // `ref` baselines, in tests/cdb/seed_engine_ref.h for the engine, in
-// tests/ml/cart_position_ref.h for the position-list CART, or reached via
-// Ddpg::TrainStepPerSample) against the rewrite,
+// tests/ml/cart_position_ref.h for the position-list CART, in
+// tests/ml/per_sample_ref.h for the per-sample MLP/DDPG and the seed GP, and
+// in tests/linalg/jacobi_ref.h for the Jacobi eigensolver) against the
+// rewrite,
 // asserts the two agree (ML paths to 1e-9; the engine fast path — flat
 // intrusive LRU, cached Zipf samplers, bit-exact early-exit fixed point —
 // bit for bit at tolerance 0.0), and writes machine-readable
@@ -64,7 +66,9 @@
 #include "ml/random_forest.h"
 #include "ml/replay_buffer.h"
 #include "tests/cdb/seed_engine_ref.h"
+#include "tests/linalg/jacobi_ref.h"
 #include "tests/ml/cart_position_ref.h"
+#include "tests/ml/per_sample_ref.h"
 #include "workload/workloads.h"
 
 namespace {
@@ -393,221 +397,6 @@ class RandomForest {
   std::vector<double> importance_;
 };
 
-// The seed GaussianProcess, kept verbatim: allocating per-row kernel loops,
-// a full O(n^3) refactorization on every Fit, and the two-pass
-// (forward + back substitution) variance in Predict. The GP must match its
-// predictions and EI scores to 1e-9.
-class SeedGp {
- public:
-  explicit SeedGp(hunter::ml::GpOptions options = {}) : options_(options) {}
-
-  bool Fit(const Matrix& x, const std::vector<double>& y) {
-    train_x_ = x;
-    train_y_ = y;
-    const size_t n = x.rows();
-    y_mean_ = 0.0;
-    for (double v : y) y_mean_ += v;
-    if (n > 0) y_mean_ /= static_cast<double>(n);
-
-    Matrix k(n, n);
-    for (size_t i = 0; i < n; ++i) {
-      const std::vector<double> xi = x.Row(i);
-      for (size_t j = i; j < n; ++j) {
-        const double value = Kernel(xi, x.Row(j));
-        k.At(i, j) = value;
-        k.At(j, i) = value;
-      }
-      k.At(i, i) += options_.noise_variance;
-    }
-    if (!hunter::linalg::Cholesky(k, &chol_)) {
-      fitted_ = false;
-      return false;
-    }
-    std::vector<double> centered(n);
-    for (size_t i = 0; i < n; ++i) centered[i] = y[i] - y_mean_;
-    alpha_ = hunter::linalg::CholeskySolve(chol_, centered);
-    fitted_ = true;
-    return true;
-  }
-
-  hunter::ml::GaussianProcess::Prediction Predict(
-      const std::vector<double>& x) const {
-    hunter::ml::GaussianProcess::Prediction prediction;
-    if (!fitted_) {
-      prediction.variance = options_.signal_variance;
-      return prediction;
-    }
-    const size_t n = train_x_.rows();
-    std::vector<double> k_star(n);
-    for (size_t i = 0; i < n; ++i) k_star[i] = Kernel(x, train_x_.Row(i));
-
-    double mean = y_mean_;
-    for (size_t i = 0; i < n; ++i) mean += k_star[i] * alpha_[i];
-    prediction.mean = mean;
-
-    const std::vector<double> v = hunter::linalg::CholeskySolve(chol_, k_star);
-    double reduction = 0.0;
-    for (size_t i = 0; i < n; ++i) reduction += k_star[i] * v[i];
-    prediction.variance = std::max(0.0, Kernel(x, x) - reduction);
-    return prediction;
-  }
-
-  double ExpectedImprovement(const std::vector<double>& x,
-                             double best_so_far) const {
-    const auto p = Predict(x);
-    const double sigma = std::sqrt(p.variance);
-    if (sigma < 1e-12) return std::max(0.0, p.mean - best_so_far);
-    const double z = (p.mean - best_so_far) / sigma;
-    return (p.mean - best_so_far) * NormalCdf(z) + sigma * NormalPdf(z);
-  }
-
- private:
-  static double NormalPdf(double z) {
-    return std::exp(-0.5 * z * z) / std::sqrt(2.0 * 3.14159265358979323846);
-  }
-  static double NormalCdf(double z) {
-    return 0.5 * std::erfc(-z / 1.41421356237309504880);
-  }
-
-  double Kernel(const std::vector<double>& a,
-                const std::vector<double>& b) const {
-    double sq = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-      const double d = a[i] - b[i];
-      sq += d * d;
-    }
-    const double ls = options_.length_scale * options_.length_scale;
-    return options_.signal_variance * std::exp(-0.5 * sq / ls);
-  }
-
-  hunter::ml::GpOptions options_;
-  bool fitted_ = false;
-  Matrix train_x_;
-  std::vector<double> train_y_;
-  double y_mean_ = 0.0;
-  Matrix chol_;
-  std::vector<double> alpha_;
-};
-
-// The seed Ddpg::TrainStep, reconstructed from public pieces (Mlp's
-// per-sample Forward/Backward, ReplayBuffer::SampleBatch): every minibatch
-// deep-copies its transitions out of the buffer and every sample pays the
-// Concat/TanhToUnit vector temporaries. Construction forks the RNG exactly
-// like ml::Ddpg, so from the same seed it draws identical minibatches and
-// its per-step losses must match the rewritten paths bit for bit (asserted
-// in BenchDdpg) — evidence the baseline runs the same computation rather
-// than a strawman.
-class SeedDdpg {
- public:
-  SeedDdpg(const hunter::ml::DdpgOptions& options, Rng* rng)
-      : options_(options),
-        rng_(rng->Fork()),
-        buffer_(options.replay_capacity) {
-    Rng init_rng = rng_.Fork();
-    actor_ = hunter::ml::Mlp(
-        BuildSizes(options.state_dim, options.actor_hidden,
-                   options.action_dim),
-        hunter::ml::Activation::kReLU, hunter::ml::Activation::kTanh,
-        &init_rng);
-    critic_ = hunter::ml::Mlp(
-        BuildSizes(options.state_dim + options.action_dim,
-                   options.critic_hidden, 1),
-        hunter::ml::Activation::kReLU, hunter::ml::Activation::kLinear,
-        &init_rng);
-    target_actor_ = actor_;
-    target_critic_ = critic_;
-  }
-
-  void AddTransition(hunter::ml::Transition transition) {
-    buffer_.Add(std::move(transition));
-  }
-
-  double TrainStep() {
-    if (buffer_.empty()) return 0.0;
-    const std::vector<hunter::ml::Transition> batch =
-        buffer_.SampleBatch(options_.batch_size, &rng_);
-
-    double total_loss = 0.0;
-    critic_.ZeroGradients();
-    for (const hunter::ml::Transition& t : batch) {
-      double target = t.reward;
-      if (!t.terminal) {
-        const std::vector<double> next_action =
-            TanhToUnit(target_actor_.Predict(t.next_state));
-        const std::vector<double> next_q =
-            target_critic_.Predict(Concat(t.next_state, next_action));
-        target += options_.gamma * next_q[0];
-      }
-      const std::vector<double> q =
-          critic_.Forward(Concat(t.state, t.action));
-      const double error = q[0] - target;
-      total_loss += error * error;
-      critic_.Backward({2.0 * error});
-    }
-    critic_.AdamStep(options_.critic_lr, batch.size());
-
-    actor_.ZeroGradients();
-    for (const hunter::ml::Transition& t : batch) {
-      const std::vector<double> tanh_action = actor_.Forward(t.state);
-      const std::vector<double> unit_action = TanhToUnit(tanh_action);
-      critic_.Forward(Concat(t.state, unit_action));
-      const std::vector<double> grad_input = critic_.Backward({-1.0});
-      std::vector<double> grad_action(options_.action_dim);
-      for (size_t i = 0; i < options_.action_dim; ++i) {
-        grad_action[i] = 0.5 * grad_input[options_.state_dim + i];
-        if (options_.grad_clip > 0.0) {
-          grad_action[i] = std::clamp(grad_action[i], -options_.grad_clip,
-                                      options_.grad_clip);
-        }
-      }
-      actor_.Backward(grad_action);
-    }
-    critic_.ZeroGradients();
-    actor_.AdamStep(options_.actor_lr, batch.size());
-
-    target_actor_.SoftUpdateFrom(actor_, options_.tau);
-    target_critic_.SoftUpdateFrom(critic_, options_.tau);
-
-    return total_loss / static_cast<double>(batch.size());
-  }
-
- private:
-  static std::vector<size_t> BuildSizes(size_t in,
-                                        const std::vector<size_t>& hidden,
-                                        size_t out) {
-    std::vector<size_t> sizes;
-    sizes.push_back(in);
-    sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-    sizes.push_back(out);
-    return sizes;
-  }
-
-  static std::vector<double> Concat(const std::vector<double>& a,
-                                    const std::vector<double>& b) {
-    std::vector<double> merged;
-    merged.reserve(a.size() + b.size());
-    merged.insert(merged.end(), a.begin(), a.end());
-    merged.insert(merged.end(), b.begin(), b.end());
-    return merged;
-  }
-
-  static std::vector<double> TanhToUnit(const std::vector<double>& tanh_out) {
-    std::vector<double> unit(tanh_out.size());
-    for (size_t i = 0; i < tanh_out.size(); ++i) {
-      unit[i] = std::clamp(0.5 * (tanh_out[i] + 1.0), 0.0, 1.0);
-    }
-    return unit;
-  }
-
-  hunter::ml::DdpgOptions options_;
-  Rng rng_;
-  hunter::ml::Mlp actor_;
-  hunter::ml::Mlp critic_;
-  hunter::ml::Mlp target_actor_;
-  hunter::ml::Mlp target_critic_;
-  hunter::ml::ReplayBuffer buffer_;
-};
-
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
@@ -681,17 +470,23 @@ void BenchMlpStep(bool smoke) {
   const size_t batch = 32;
   const std::vector<size_t> sizes = {63, 64, 64, 20};
   const int iters = smoke ? 3 : 200;
+  // The per-sample reference builds its initial weights through an Mlp on
+  // its own copy of the stream, so both nets start from identical
+  // parameters and `rng` then draws the same data for both.
   Rng rng(0xBEEF02);
-  hunter::ml::Mlp scalar_net(sizes, hunter::ml::Activation::kReLU,
-                             hunter::ml::Activation::kTanh, &rng);
-  hunter::ml::Mlp batch_net = scalar_net;
+  Rng ref_rng = rng;
+  hunter::ml::sampleref::PerSampleMlp scalar_net(
+      sizes, hunter::ml::Activation::kReLU, hunter::ml::Activation::kTanh,
+      &ref_rng);
+  hunter::ml::Mlp batch_net(sizes, hunter::ml::Activation::kReLU,
+                            hunter::ml::Activation::kTanh, &rng);
 
   const Matrix input = RandomMatrix(batch, sizes.front(), &rng);
   const Matrix grad = RandomMatrix(batch, sizes.back(), &rng);
 
-  // Equivalence: one forward+backward over the batch, both paths, starting
-  // from identical parameters; compare outputs and accumulated gradients
-  // (read back through AdamStep-updated parameters).
+  // Equivalence: one forward+backward over the batch, per-sample reference
+  // vs batched, starting from identical parameters; compare outputs and
+  // accumulated gradients (read back through AdamStep-updated parameters).
   std::vector<std::vector<double>> scalar_out(batch);
   scalar_net.ZeroGradients();
   for (size_t r = 0; r < batch; ++r) {
@@ -775,51 +570,34 @@ void BenchDdpg(bool smoke) {
   const int equiv_steps = smoke ? 5 : 30;
   const int iters = smoke ? 3 : 100;
 
-  // Equivalence: three agents from the same seed — the seed replica, the
-  // in-tree per-sample path, and the batched path; per-step losses and the
-  // final policy must agree across all of them.
+  // Equivalence: the per-sample seed reference and the batched agent from
+  // the same seed; per-step losses and the final policy must agree.
   Rng seed_rng(0xBEEF03);
-  ref::SeedDdpg seed_agent(MakeDdpgOptions(), &seed_rng);
-  hunter::ml::Ddpg scalar_agent = MakeAgent(0xBEEF03);
+  hunter::ml::sampleref::SeedDdpg seed_agent(MakeDdpgOptions(), &seed_rng);
   hunter::ml::Ddpg batched_agent = MakeAgent(0xBEEF03);
   PrefillAgent(&seed_agent, 256, 0xBEEF04);
-  PrefillAgent(&scalar_agent, 256, 0xBEEF04);
   PrefillAgent(&batched_agent, 256, 0xBEEF04);
 
-  double scalar_loss_diff = 0.0;
   double seed_loss_diff = 0.0;
   for (int i = 0; i < equiv_steps; ++i) {
     const double seed_loss = seed_agent.TrainStep();
-    const double scalar_loss = scalar_agent.TrainStepPerSample();
     const double batched_loss = batched_agent.TrainStep();
-    scalar_loss_diff =
-        std::max(scalar_loss_diff, std::abs(scalar_loss - batched_loss));
     seed_loss_diff =
         std::max(seed_loss_diff, std::abs(seed_loss - batched_loss));
   }
-  RecordEquiv("ddpg_loss_batched_vs_scalar", scalar_loss_diff, 1e-9);
   RecordEquiv("ddpg_loss_batched_vs_seed", seed_loss_diff, 1e-9);
 
   Rng probe_rng(0xBEEF05);
   std::vector<double> probe(63);
   for (double& v : probe) v = probe_rng.Uniform(-1.0, 1.0);
-  RecordEquiv("ddpg_policy_batched_vs_scalar",
-              MaxAbsDiff(scalar_agent.Act(probe), batched_agent.Act(probe)),
+  RecordEquiv("ddpg_policy_batched_vs_seed",
+              MaxAbsDiff(seed_agent.Act(probe), batched_agent.Act(probe)),
               1e-9);
 
-  // Headline row: the seed implementation vs. the batched rewrite. The
-  // second row isolates the batching itself by timing the in-tree
-  // per-sample path (which already shares the buffer-indexing and Adam
-  // improvements) against the batched one.
   const double seed_ms = TimeMs([&] { seed_agent.TrainStep(); }, iters);
-  const double scalar_ms =
-      TimeMs([&] { scalar_agent.TrainStepPerSample(); }, iters);
   const double batched_ms = TimeMs([&] { batched_agent.TrainStep(); }, iters);
   RecordBench("ddpg_train_step", "state 63, action 20, batch 32, hidden 64x64",
               seed_ms, batched_ms);
-  RecordBench("ddpg_train_step_scalar",
-              "same config; baseline = in-tree per-sample path", scalar_ms,
-              batched_ms);
 }
 
 void BenchForest(bool smoke) {
@@ -1028,23 +806,30 @@ void CheckGpFit(bool smoke) {
     return std::vector<double>(y.begin(), y.begin() + static_cast<long>(m));
   };
 
-  ref::SeedGp seed_gp;
+  hunter::ml::sampleref::SeedGp seed_gp;
   hunter::ml::GaussianProcess gp;
   for (size_t m = n0; m <= n; ++m) {
     seed_gp.Fit(prefix_x(m), prefix_y(m));
     gp.Fit(prefix_x(m), prefix_y(m));
   }
+  const size_t probes = 16;
   Rng probe_rng(0xBEEF10);
+  Matrix probe(probes, d);
+  for (size_t p = 0; p < probes; ++p) {
+    for (size_t c = 0; c < d; ++c) probe.At(p, c) = probe_rng.Uniform(0.0, 1.0);
+  }
+  std::vector<hunter::ml::GaussianProcess::Prediction> preds;
+  std::vector<double> eis;
+  gp.PredictBatch(probe, &preds);
+  gp.ExpectedImprovementBatch(probe, 0.5, &eis);
   double diff = 0.0;
-  for (int p = 0; p < 16; ++p) {
-    std::vector<double> probe(d);
-    for (double& v : probe) v = probe_rng.Uniform(0.0, 1.0);
-    const auto seed_pred = seed_gp.Predict(probe);
-    const auto pred = gp.Predict(probe);
-    diff = std::max(diff, std::abs(seed_pred.mean - pred.mean));
-    diff = std::max(diff, std::abs(seed_pred.variance - pred.variance));
-    diff = std::max(diff, std::abs(seed_gp.ExpectedImprovement(probe, 0.5) -
-                                   gp.ExpectedImprovement(probe, 0.5)));
+  for (size_t p = 0; p < probes; ++p) {
+    const std::vector<double> row = probe.Row(p);
+    const auto seed_pred = seed_gp.Predict(row);
+    diff = std::max(diff, std::abs(seed_pred.mean - preds[p].mean));
+    diff = std::max(diff, std::abs(seed_pred.variance - preds[p].variance));
+    diff = std::max(diff,
+                    std::abs(seed_gp.ExpectedImprovement(row, 0.5) - eis[p]));
   }
   RecordEquiv("gp_fit_vs_seed", diff, 1e-9);
 }
@@ -1063,7 +848,7 @@ void BenchGpEiBatch(bool smoke) {
   std::vector<double> y;
   MakeRegressionData(n, d, &data_rng, &x, &y);
 
-  ref::SeedGp seed_gp;
+  hunter::ml::sampleref::SeedGp seed_gp;
   hunter::ml::GaussianProcess gp;
   seed_gp.Fit(x, y);
   gp.Fit(x, y);
@@ -1352,11 +1137,12 @@ void BenchPca(bool smoke) {
   RecordEquiv("pca_covariance_gemm_vs_naive", cov_diff, 1e-9);
 
   // The eigensolvers: the production Householder-tridiagonalize + QL path
-  // must agree with the retained cyclic-Jacobi oracle (eigenvalues exactly
+  // must agree with the cyclic-Jacobi oracle (eigenvalues exactly
   // comparable; eigenvectors are sign-ambiguous, so compare the spectrum
   // and reconstruction instead — the gtest suite covers vectors).
   {
-    const auto jacobi = hunter::linalg::SymmetricEigenJacobi(gemm_cov);
+    const auto jacobi =
+        hunter::linalg::jacobiref::SymmetricEigenJacobi(gemm_cov);
     const auto ql = hunter::linalg::SymmetricEigen(gemm_cov);
     RecordEquiv("pca_ql_vs_jacobi_eigenvalues",
                 MaxAbsDiff(jacobi.eigenvalues, ql.eigenvalues), 1e-8);
@@ -1364,7 +1150,7 @@ void BenchPca(bool smoke) {
 
   // The covariance reformulation itself, then the whole fit. The baseline
   // is the seed pipeline end to end: naive covariance into the seed's
-  // cyclic-Jacobi eigensolver (retained as SymmetricEigenJacobi).
+  // cyclic-Jacobi eigensolver (tests/linalg/jacobi_ref.h).
   const double cov_baseline_ms = TimeMs(
       [&] {
         const Matrix cov = ref::NaiveCovariance(standardized);
@@ -1384,7 +1170,7 @@ void BenchPca(bool smoke) {
       [&] {
         const Matrix centered = hunter::linalg::Standardize(data, true);
         const Matrix cov = ref::NaiveCovariance(centered);
-        const auto eigen = hunter::linalg::SymmetricEigenJacobi(cov);
+        const auto eigen = hunter::linalg::jacobiref::SymmetricEigenJacobi(cov);
         if (eigen.eigenvalues.empty()) std::printf("unreachable\n");
       },
       iters);

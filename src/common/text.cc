@@ -2,9 +2,21 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace hunter::common {
+
+bool DoubleToSize(double value, size_t* out) {
+  // 2^digits: every integral double below it converts to size_t exactly.
+  const double limit =
+      std::ldexp(1.0, std::numeric_limits<size_t>::digits);
+  if (!(value >= 0.0 && value < limit) || value != std::floor(value)) {
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
+}
 
 std::string FormatDouble17(double value) {
   if (std::isnan(value)) return "NaN";

@@ -9,6 +9,7 @@
 #ifndef HUNTER_COMMON_TEXT_H_
 #define HUNTER_COMMON_TEXT_H_
 
+#include <cstddef>
 #include <ios>
 #include <locale>
 #include <string>
@@ -42,6 +43,12 @@ std::string FormatDoubleFixed(double value, int digits);
 // Escapes `s` for use inside a JSON string literal (quotes, backslashes,
 // control characters; everything else passes through byte-for-byte).
 std::string JsonEscape(const std::string& s);
+
+// Reads a count or index that a byte-stable artifact stores as a double.
+// Returns false unless `value` is finite, non-negative, integral and exactly
+// representable as size_t (a plain cast would truncate a fraction, and is
+// undefined for negative, non-finite or too-large values).
+bool DoubleToSize(double value, size_t* out);
 
 }  // namespace hunter::common
 

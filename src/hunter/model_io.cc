@@ -26,9 +26,13 @@ bool ReadVector(std::istream& is, const std::string& expected_tag,
   std::string tag;
   size_t count = 0;
   if (!(is >> tag >> count) || tag != expected_tag) return false;
-  values->resize(count);
-  for (double& v : *values) {
+  // `count` is untrusted: values are appended as they parse, so a corrupt
+  // count runs out of input instead of sizing an allocation.
+  values->clear();
+  for (size_t i = 0; i < count; ++i) {
+    double v = 0.0;
     if (!(is >> v)) return false;
+    values->push_back(v);
   }
   return true;
 }
@@ -86,7 +90,11 @@ bool LoadModel(std::istream& is, HunterModel* model) {
   model->space = OptimizedSpace();
   model->space.state_dim = state_dim;
   model->space.use_pca = use_pca != 0;
-  model->space.selected_knobs.assign(knobs.begin(), knobs.end());
+  for (const double knob : knobs) {
+    size_t index = 0;
+    if (!common::DoubleToSize(knob, &index)) return false;
+    model->space.selected_knobs.push_back(index);
+  }
   model->space.knob_importance = std::move(importance);
   if (model->space.use_pca && !model->space.pca.LoadState(pca_state)) {
     return false;

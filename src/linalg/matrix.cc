@@ -51,12 +51,6 @@ Matrix::Matrix(const std::vector<std::vector<double>>& rows) {
   }
 }
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
-  return m;
-}
-
 void Matrix::Reshape(size_t rows, size_t cols) {
   rows_ = rows;
   cols_ = cols;
@@ -72,26 +66,12 @@ std::vector<double> Matrix::Row(size_t r) const {
                              data_.begin() + static_cast<long>((r + 1) * cols_));
 }
 
-std::vector<double> Matrix::Col(size_t c) const {
-  std::vector<double> col(rows_);
-  for (size_t r = 0; r < rows_; ++r) col[r] = At(r, c);
-  return col;
-}
-
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {
     for (size_t c = 0; c < cols_; ++c) t.At(c, r) = At(r, c);
   }
   return t;
-}
-
-Matrix Matrix::Multiply(const Matrix& other) const {
-  assert(cols_ == other.rows_);
-  Matrix result(rows_, other.cols_);
-  GemmInto(Data(), rows_, cols_, other.Data(), other.cols_,
-           /*accumulate=*/true, result.Data());
-  return result;
 }
 
 void Matrix::MultiplyInto(const Matrix& other, Matrix* out) const {
@@ -112,51 +92,8 @@ void Matrix::TransposedMultiplyInto(const Matrix& other, Matrix* out,
                       accumulate, out->Data());
 }
 
-std::vector<double> Matrix::MultiplyVector(const std::vector<double>& v) const {
-  assert(v.size() == cols_);
-  std::vector<double> result(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (size_t c = 0; c < cols_; ++c) sum += At(r, c) * v[c];
-    result[r] = sum;
-  }
-  return result;
-}
-
-Matrix Matrix::Add(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix result(rows_, cols_);
-  simd::AddInto(data_.data(), other.data_.data(), result.data_.data(),
-                data_.size());
-  return result;
-}
-
-Matrix Matrix::Subtract(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix result(rows_, cols_);
-  simd::SubInto(data_.data(), other.data_.data(), result.data_.data(),
-                data_.size());
-  return result;
-}
-
-Matrix Matrix::Scale(double factor) const {
-  Matrix result(rows_, cols_);
-  simd::ScaleInto(data_.data(), factor, result.data_.data(), data_.size());
-  return result;
-}
-
-void Matrix::AddInPlace(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  simd::AddInto(data_.data(), other.data_.data(), data_.data(), data_.size());
-}
-
 void Matrix::ScaleInPlace(double factor) {
   simd::ScaleInto(data_.data(), factor, data_.data(), data_.size());
-}
-
-void Matrix::Axpy(double alpha, const Matrix& x) {
-  assert(rows_ == x.rows_ && cols_ == x.cols_);
-  simd::AxpyInPlace(alpha, x.data_.data(), data_.data(), data_.size());
 }
 
 std::vector<double> ColumnMeans(const Matrix& data) {
@@ -215,8 +152,7 @@ Matrix Covariance(const Matrix& data) {
 namespace {
 
 // Sorts (diag, vectors-as-columns) into an EigenResult with eigenvalues
-// descending — shared by the QL and Jacobi paths so both report identically
-// ordered eigenpairs.
+// descending.
 EigenResult SortedEigenResult(const std::vector<double>& diag,
                               const Matrix& vectors) {
   const size_t n = diag.size();
@@ -329,8 +265,7 @@ EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps) {
   // Stage 2 — implicit-shift QL on the tridiagonal (classic tqli), with the
   // Givens rotations applied to z so its columns finish as eigenvectors of
   // the original matrix. The Wilkinson shift makes each eigenvalue converge
-  // in 2-3 iterations; `max_sweeps` is a safety cap per eigenvalue (the
-  // Jacobi path degrades the same way when its sweep budget runs out).
+  // in 2-3 iterations; `max_sweeps` is a safety cap per eigenvalue.
   for (int i = 1; i < ni; ++i) eat(i - 1) = eat(i);
   eat(ni - 1) = 0.0;
   for (int l = 0; l < ni; ++l) {
@@ -385,58 +320,6 @@ EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps) {
   }
 
   return SortedEigenResult(d, z);
-}
-
-EigenResult SymmetricEigenJacobi(const Matrix& symmetric, int max_sweeps) {
-  assert(symmetric.rows() == symmetric.cols());
-  const size_t n = symmetric.rows();
-  Matrix a = symmetric;
-  Matrix v = Matrix::Identity(n);
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off_diagonal = 0.0;
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) off_diagonal += std::abs(a.At(p, q));
-    }
-    if (off_diagonal < 1e-12) break;
-
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) {
-        const double apq = a.At(p, q);
-        if (std::abs(apq) < 1e-15) continue;
-        const double app = a.At(p, p);
-        const double aqq = a.At(q, q);
-        const double tau = (aqq - app) / (2.0 * apq);
-        const double t = (tau >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-
-        for (size_t k = 0; k < n; ++k) {
-          const double akp = a.At(k, p);
-          const double akq = a.At(k, q);
-          a.At(k, p) = c * akp - s * akq;
-          a.At(k, q) = s * akp + c * akq;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double apk = a.At(p, k);
-          const double aqk = a.At(q, k);
-          a.At(p, k) = c * apk - s * aqk;
-          a.At(q, k) = s * apk + c * aqk;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double vkp = v.At(k, p);
-          const double vkq = v.At(k, q);
-          v.At(k, p) = c * vkp - s * vkq;
-          v.At(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-
-  std::vector<double> diag(n);
-  for (size_t i = 0; i < n; ++i) diag[i] = a.At(i, i);
-  return SortedEigenResult(diag, v);
 }
 
 // hunterlint: hot

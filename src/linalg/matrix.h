@@ -8,8 +8,8 @@
 //
 // Numeric contract: every GEMM kernel accumulates each output element with
 // the k (inner/contraction) index ascending, exactly like a textbook
-// dot-product loop. The batched ML paths rely on this to stay bit-compatible
-// with the per-sample reference paths they replaced.
+// dot-product loop. The batched ML paths rely on this to stay bit-identical
+// to a per-sample computation of the same model (tests/ml/per_sample_ref.h).
 
 #ifndef HUNTER_LINALG_MATRIX_H_
 #define HUNTER_LINALG_MATRIX_H_
@@ -37,7 +37,7 @@ void GemmBiasInto(const double* a, size_t m, size_t k, const double* b,
 
 // out (+)= a^T * b where `a` is (k x m) and `b` is (k x n); the contraction
 // runs over the leading (row) index of both, ascending, which matches the
-// sample-by-sample gradient accumulation order of the per-sample paths.
+// sample-by-sample gradient accumulation order of a per-sample backward pass.
 void GemmTransposedAInto(const double* a, size_t k, size_t m, const double* b,
                          size_t n, bool accumulate, double* out);
 
@@ -65,8 +65,6 @@ class Matrix {
   // Builds from nested vectors; all inner vectors must share one length.
   explicit Matrix(const std::vector<std::vector<double>>& rows);
 
-  static Matrix Identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
@@ -85,14 +83,11 @@ class Matrix {
   void Fill(double value);
 
   std::vector<double> Row(size_t r) const;
-  std::vector<double> Col(size_t c) const;
 
   // Non-allocating row view; see RowSpan for the lifetime caveat.
   RowSpan RowView(size_t r) const { return {data_.data() + r * cols_, cols_}; }
 
   Matrix Transpose() const;
-  Matrix Multiply(const Matrix& other) const;
-  std::vector<double> MultiplyVector(const std::vector<double>& v) const;
 
   // out = this * other, written into a preallocated (and reusable) output.
   void MultiplyInto(const Matrix& other, Matrix* out) const;
@@ -100,16 +95,8 @@ class Matrix {
   void TransposedMultiplyInto(const Matrix& other, Matrix* out,
                               bool accumulate = false) const;
 
-  // Element-wise operations (shapes must match).
-  Matrix Add(const Matrix& other) const;
-  Matrix Subtract(const Matrix& other) const;
-  Matrix Scale(double factor) const;
-
-  // In-place element-wise operations — no temporaries.
-  void AddInPlace(const Matrix& other);
+  // In-place element-wise scaling — no temporaries.
   void ScaleInPlace(double factor);
-  // this += alpha * x (shapes must match).
-  void Axpy(double alpha, const Matrix& x);
 
   const std::vector<double>& data() const { return data_; }
 
@@ -143,15 +130,11 @@ struct EigenResult {
 };
 
 // Householder tridiagonalization + implicit-shift QL — O(n^3) with a small
-// constant, vs the cyclic Jacobi's O(n^3) *per sweep*. This is the
-// production path (PCA refits sit on it). `max_sweeps` bounds the QL
-// iterations spent per eigenvalue; convergence normally takes 2-3.
+// constant, vs a cyclic Jacobi's O(n^3) *per sweep* (the Jacobi solver it
+// replaced is its test oracle, tests/linalg/jacobi_ref.h). PCA refits sit on
+// it. `max_sweeps` bounds the QL iterations spent per eigenvalue;
+// convergence normally takes 2-3.
 EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps = 64);
-
-// Cyclic Jacobi rotations — the original implementation, retained as the
-// independent reference oracle for the QL path (tested against it on random
-// symmetric matrices; see tests/linalg and bench_micro_hotpaths).
-EigenResult SymmetricEigenJacobi(const Matrix& symmetric, int max_sweeps = 64);
 
 // Cholesky factorization A = L * L^T of a symmetric positive-definite
 // matrix. Returns false if the matrix is not (numerically) SPD.

@@ -136,10 +136,6 @@ void SubIntoAvx2(const double* x, const double* y, double* out, size_t n);
 void ScaleIntoScalar(const double* x, double factor, double* out, size_t n);
 void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n);
 
-// y[i] += alpha * x[i]
-void AxpyInPlaceScalar(double alpha, const double* x, double* y, size_t n);
-void AxpyInPlaceAvx2(double alpha, const double* x, double* y, size_t n);
-
 // dst[i] = tau * src[i] + (1 - tau) * dst[i]
 void SoftUpdateInPlaceScalar(double tau, const double* src, double* dst,
                              size_t n);
@@ -287,11 +283,6 @@ inline void SubInto(const double* x, const double* y, double* out, size_t n) {
 inline void ScaleInto(const double* x, double factor, double* out, size_t n) {
   if (DispatchAvx2()) ScaleIntoAvx2(x, factor, out, n);
   else ScaleIntoScalar(x, factor, out, n);
-}
-
-inline void AxpyInPlace(double alpha, const double* x, double* y, size_t n) {
-  if (DispatchAvx2()) AxpyInPlaceAvx2(alpha, x, y, n);
-  else AxpyInPlaceScalar(alpha, x, y, n);
 }
 
 inline void SoftUpdateInPlace(double tau, const double* src, double* dst,

@@ -50,16 +50,6 @@ void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
   for (; i < n; ++i) out[i] = x[i] * factor;
 }
 
-void AxpyInPlaceAvx2(double alpha, const double* x, double* y, size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void SoftUpdateInPlaceAvx2(double tau, const double* src, double* dst,
                            size_t n) {
   const double one_minus_tau = 1.0 - tau;
@@ -392,9 +382,6 @@ void SubIntoAvx2(const double* x, const double* y, double* out, size_t n) {
 }
 void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
   ScaleIntoScalar(x, factor, out, n);
-}
-void AxpyInPlaceAvx2(double alpha, const double* x, double* y, size_t n) {
-  AxpyInPlaceScalar(alpha, x, y, n);
 }
 void SoftUpdateInPlaceAvx2(double tau, const double* src, double* dst,
                            size_t n) {

@@ -23,10 +23,6 @@ void ScaleIntoScalar(const double* x, double factor, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] * factor;
 }
 
-void AxpyInPlaceScalar(double alpha, const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void SoftUpdateInPlaceScalar(double tau, const double* src, double* dst,
                              size_t n) {
   const double one_minus_tau = 1.0 - tau;

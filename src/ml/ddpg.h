@@ -51,11 +51,6 @@ class Ddpg {
   // RNG state.
   double TrainStep();
 
-  // The same update, one sample at a time: the reference TrainStep is
-  // pinned to. Consumes the same RNG stream and produces bit-identical
-  // parameters; used for baseline timing and equivalence tests.
-  double TrainStepPerSample();
-
   // Target-critic estimate of Q(s, a) — used by tests and diagnostics.
   double EvaluateQ(const std::vector<double>& state,
                    const std::vector<double>& action) const;

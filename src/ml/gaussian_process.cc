@@ -28,16 +28,6 @@ double ExpectedImprovementFrom(double mean, double variance,
 
 }  // namespace
 
-double GaussianProcess::Kernel(linalg::RowSpan a, linalg::RowSpan b) const {
-  double sq = 0.0;
-  for (size_t i = 0; i < a.size; ++i) {
-    const double d = a[i] - b[i];
-    sq += d * d;
-  }
-  const double ls = options_.length_scale * options_.length_scale;
-  return options_.signal_variance * std::exp(-0.5 * sq / ls);
-}
-
 bool GaussianProcess::Fit(const linalg::Matrix& x,
                           const std::vector<double>& y) {
   assert(x.rows() == y.size());
@@ -89,36 +79,6 @@ bool GaussianProcess::Fit(const linalg::Matrix& x,
   return true;
 }
 
-GaussianProcess::Prediction GaussianProcess::Predict(
-    const std::vector<double>& x) const {
-  Prediction prediction;
-  if (!fitted_) {
-    prediction.variance = options_.signal_variance;
-    return prediction;
-  }
-  const size_t n = train_x_.rows();
-  const linalg::RowSpan q{x.data(), x.size()};
-  std::vector<double> k_star(n);
-  for (size_t i = 0; i < n; ++i) k_star[i] = Kernel(q, train_x_.RowView(i));
-
-  double mean = y_mean_;
-  for (size_t i = 0; i < n; ++i) mean += k_star[i] * alpha_[i];
-  prediction.mean = mean;
-
-  // variance = k(x,x) - k_star^T (K + noise)^{-1} k_star.
-  const std::vector<double> v = linalg::CholeskySolve(chol_, k_star);
-  double reduction = 0.0;
-  for (size_t i = 0; i < n; ++i) reduction += k_star[i] * v[i];
-  prediction.variance = std::max(0.0, Kernel(q, q) - reduction);
-  return prediction;
-}
-
-double GaussianProcess::ExpectedImprovement(const std::vector<double>& x,
-                                            double best_so_far) const {
-  const Prediction p = Predict(x);
-  return ExpectedImprovementFrom(p.mean, p.variance, best_so_far);
-}
-
 // hunterlint: hot
 void GaussianProcess::PredictBatch(const linalg::Matrix& x,
                                    std::vector<Prediction>* out) const {
@@ -164,8 +124,8 @@ void GaussianProcess::PredictBatch(const linalg::Matrix& x,
       mean += k_star_[j] * alpha_[j];
     }
     // Forward substitution only: with w = L^{-1} k*, the quadratic form
-    // k*ᵀ (L Lᵀ)^{-1} k* is exactly wᵀw — the back substitution the scalar
-    // path performs just re-derives it through Lᵀ.
+    // k*ᵀ (L Lᵀ)^{-1} k* is exactly wᵀw — a back substitution through Lᵀ
+    // would only re-derive it.
     double reduction = 0.0;
     for (size_t j = 0; j < n; ++j) {
       double sum = k_star_[j];

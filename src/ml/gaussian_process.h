@@ -4,8 +4,8 @@
 // ResTune-style meta-learning baseline.
 //
 // The GP sits inside the BO tuners' inner loop (one refit per Observe, one
-// acquisition evaluation per candidate per Propose), so the hot paths follow
-// the same playbook as the batched MLP/DDPG work (DESIGN.md §8, §11):
+// scoring pass over the whole candidate set per Propose), so the hot paths
+// follow the same playbook as the batched MLP/DDPG work (DESIGN.md §8, §11):
 //
 //  * The kernel matrix is built from the squared-distance expansion
 //    ‖a − b‖² = ‖a‖² + ‖b‖² − 2 aᵀb with the Gram matrix computed by one
@@ -13,9 +13,10 @@
 //  * PredictBatch / ExpectedImprovementBatch score a whole candidate matrix
 //    in one GEMM-backed pass over reused scratch arenas, with the posterior
 //    variance taken from the forward substitution alone
-//    (σ² = k(x,x) − ‖L⁻¹k*‖², the identity the two-pass solve computes the
-//    long way). Batch results match the per-candidate path to 1e-9
-//    (asserted in bench_micro_hotpaths before any timing is trusted).
+//    (σ² = k(x,x) − ‖L⁻¹k*‖², the identity a two-pass solve computes the
+//    long way). Results match the seed's per-candidate GP
+//    (tests/ml/per_sample_ref.h) to 1e-9, asserted in gp_test and in
+//    bench_micro_hotpaths before any timing is trusted.
 
 #ifndef HUNTER_ML_GAUSSIAN_PROCESS_H_
 #define HUNTER_ML_GAUSSIAN_PROCESS_H_
@@ -49,15 +50,11 @@ class GaussianProcess {
     double mean = 0.0;
     double variance = 0.0;
   };
-  Prediction Predict(const std::vector<double>& x) const;
 
-  // Expected improvement over `best_so_far` (maximization convention).
-  double ExpectedImprovement(const std::vector<double>& x,
-                             double best_so_far) const;
-
-  // Batch versions: one row of `x` per query point, scored in a single
-  // GEMM-backed pass over reused scratch (not thread-safe, like the rest of
-  // the class). `out` is resized to x.rows().
+  // Posterior at each row of `x` (one query point per row), and the
+  // expected improvement over `best_so_far` (maximization convention),
+  // scored in a single GEMM-backed pass over reused scratch (not
+  // thread-safe, like the rest of the class). `out` is resized to x.rows().
   void PredictBatch(const linalg::Matrix& x,
                     std::vector<Prediction>* out) const;
   void ExpectedImprovementBatch(const linalg::Matrix& x, double best_so_far,
@@ -66,8 +63,6 @@ class GaussianProcess {
   const GpOptions& options() const { return options_; }
 
  private:
-  double Kernel(linalg::RowSpan a, linalg::RowSpan b) const;
-
   GpOptions options_;
   bool fitted_ = false;
   linalg::Matrix train_x_;         // n x d

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/text.h"
 #include "linalg/simd/simd.h"
 
 namespace hunter::ml {
@@ -110,9 +111,11 @@ std::vector<double> Pca::SaveState() const {
 }
 
 bool Pca::LoadState(const std::vector<double>& state) {
-  if (state.size() < 2) return false;
-  const size_t dim = static_cast<size_t>(state[0]);
-  if (state.size() != 2 + 3 * dim + dim * dim) return false;
+  size_t dim = 0;
+  if (state.size() < 2 || !common::DoubleToSize(state[0], &dim) ||
+      dim > state.size() || state.size() != 2 + 3 * dim + dim * dim) {
+    return false;
+  }
   standardize_ = state[1] != 0.0;
   size_t offset = 2;
   means_.assign(state.begin() + static_cast<long>(offset),

@@ -191,9 +191,19 @@ class JsonReader {
     }
     switch (*p_) {
       case '{':
-        return ParseObject(out, error);
-      case '[':
-        return ParseArray(out, error);
+      case '[': {
+        // The schema nests three levels deep; the cap keeps hostile input
+        // from exhausting the stack through this recursion.
+        if (depth_ == kMaxDepth) {
+          *error = "JSON nesting deeper than " + std::to_string(kMaxDepth);
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            *p_ == '{' ? ParseObject(out, error) : ParseArray(out, error);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->str, error);
@@ -360,8 +370,11 @@ class JsonReader {
     }
   }
 
+  static constexpr int kMaxDepth = 64;
+
   const char* p_;
   const char* end_;
+  int depth_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -452,7 +465,10 @@ bool ParseMetric(const JsonValue& obj, MetricSnapshot* out,
         !GetDouble(obj, "p95", &out->p95, error)) {
       return false;
     }
-    out->count = static_cast<size_t>(count);
+    if (!common::DoubleToSize(count, &out->count)) {
+      *error = "field \"count\" is not a valid count";
+      return false;
+    }
     return true;
   }
   return GetDouble(obj, "value", &out->value, error);

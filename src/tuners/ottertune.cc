@@ -32,9 +32,9 @@ std::vector<std::vector<double>> OtterTuneTuner::Propose(size_t count) {
       continue;
     }
     // Maximize the acquisition over random + local candidates: draw the
-    // whole candidate set first (the exact RNG order of the former
-    // per-candidate loop), score it in one batch pass, then keep the first
-    // maximum (strictly-greater comparison, as before).
+    // whole candidate set first (random rows, then local perturbations, each
+    // row's coordinates in order), score it in one batch pass, then keep the
+    // first maximum (strictly-greater comparison).
     const size_t local = best_knobs_.empty() ? 0 : options_.local_candidates;
     const size_t total = options_.candidates + local;
     candidate_matrix_.Reshape(total, dim_);
@@ -67,10 +67,6 @@ std::vector<std::vector<double>> OtterTuneTuner::Propose(size_t count) {
     proposals.push_back(std::move(best_candidate));
   }
   return proposals;
-}
-
-double OtterTuneTuner::Acquisition(const std::vector<double>& candidate) const {
-  return gp_.ExpectedImprovement(candidate, best_fitness_);
 }
 
 void OtterTuneTuner::AcquisitionBatch(const linalg::Matrix& candidates,

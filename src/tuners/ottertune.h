@@ -37,14 +37,9 @@ class OtterTuneTuner : public Tuner {
   void Observe(const std::vector<controller::Sample>& samples) override;
 
  protected:
-  // ResTune subclasses this and biases the acquisition.
-  virtual double Acquisition(const std::vector<double>& candidate) const;
-
-  // Scores one candidate per row of `candidates` into `scores` (resized).
-  // Propose uses this — the whole EI candidate set is scored in one
-  // GEMM-backed pass instead of per-candidate kernel loops. The base
-  // implementation matches Acquisition row-for-row; ResTune overrides both
-  // consistently.
+  // Scores one candidate per row of `candidates` into `scores` (resized):
+  // the whole EI candidate set in one GEMM-backed pass. ResTune overrides
+  // it to blend in its historical models.
   virtual void AcquisitionBatch(const linalg::Matrix& candidates,
                                 std::vector<double>* scores) const;
 

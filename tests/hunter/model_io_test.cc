@@ -121,6 +121,42 @@ TEST(ModelIoTest, RejectsTruncatedStream) {
   EXPECT_FALSE(LoadModel(truncated, &model));
 }
 
+// The saved text of MakeModel(false) with its selected_knobs line replaced.
+std::string WithKnobLine(const std::string& knob_line) {
+  std::stringstream stream;
+  EXPECT_TRUE(SaveModel(MakeModel(false), stream));
+  std::string text = stream.str();
+  const size_t begin = text.find("selected_knobs ");
+  const size_t end = text.find('\n', begin);
+  return text.replace(begin, end - begin, knob_line);
+}
+
+TEST(ModelIoTest, RejectsHugeCountWithoutAllocatingIt) {
+  // The count used to size the vector before any value was read, so this
+  // threw std::bad_alloc instead of failing.
+  std::stringstream stream(WithKnobLine("selected_knobs 100000000000000 1"));
+  HunterModel model;
+  bool loaded = true;
+  EXPECT_NO_THROW(loaded = LoadModel(stream, &model));
+  EXPECT_FALSE(loaded);
+}
+
+TEST(ModelIoTest, RejectsKnobIndicesThatAreNotIndices) {
+  // Negative, out-of-range and fractional indices used to be cast to
+  // size_t (undefined behaviour) and loaded as garbage knob indices.
+  for (const std::string line :
+       {"selected_knobs 2 -1 1e300", "selected_knobs 1 2.5",
+        "selected_knobs 1 18446744073709551616"}) {
+    std::stringstream stream(WithKnobLine(line));
+    HunterModel model;
+    EXPECT_FALSE(LoadModel(stream, &model)) << line;
+  }
+  std::stringstream valid(WithKnobLine("selected_knobs 2 0 64"));
+  HunterModel model;
+  ASSERT_TRUE(LoadModel(valid, &model));
+  EXPECT_EQ(model.space.selected_knobs, (std::vector<size_t>{0, 64}));
+}
+
 TEST(ModelIoTest, MissingFileFails) {
   HunterModel model;
   EXPECT_FALSE(LoadModelFromFile("/no/such/dir/model.txt", &model));

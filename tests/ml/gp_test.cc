@@ -7,9 +7,26 @@
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "tests/ml/per_sample_ref.h"
 
 namespace hunter::ml {
 namespace {
+
+// Scores one query point through the batch API as a 1-row matrix.
+GaussianProcess::Prediction Predict(const GaussianProcess& gp,
+                                    const std::vector<double>& x) {
+  std::vector<GaussianProcess::Prediction> out;
+  gp.PredictBatch(linalg::Matrix(std::vector<std::vector<double>>{x}), &out);
+  return out[0];
+}
+
+double ExpectedImprovement(const GaussianProcess& gp,
+                           const std::vector<double>& x, double best_so_far) {
+  std::vector<double> out;
+  gp.ExpectedImprovementBatch(
+      linalg::Matrix(std::vector<std::vector<double>>{x}), best_so_far, &out);
+  return out[0];
+}
 
 TEST(GpTest, InterpolatesTrainingPoints) {
   linalg::Matrix x({{0.1}, {0.5}, {0.9}});
@@ -20,7 +37,7 @@ TEST(GpTest, InterpolatesTrainingPoints) {
   GaussianProcess gp(options);
   ASSERT_TRUE(gp.Fit(x, y));
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(gp.Predict(x.Row(i)).mean, y[i], 0.1);
+    EXPECT_NEAR(Predict(gp, x.Row(i)).mean, y[i], 0.1);
   }
 }
 
@@ -31,15 +48,15 @@ TEST(GpTest, VarianceSmallNearDataLargeFar) {
   options.length_scale = 0.1;
   GaussianProcess gp(options);
   ASSERT_TRUE(gp.Fit(x, y));
-  const double near = gp.Predict({0.5}).variance;
-  const double far = gp.Predict({0.0}).variance;
+  const double near = Predict(gp, {0.5}).variance;
+  const double far = Predict(gp, {0.0}).variance;
   EXPECT_LT(near, far);
   EXPECT_GT(far, 0.5);  // far points revert toward prior variance 1.0
 }
 
 TEST(GpTest, UnfittedPredictsPrior) {
   GaussianProcess gp;
-  const auto p = gp.Predict({0.5});
+  const auto p = Predict(gp, {0.5});
   EXPECT_DOUBLE_EQ(p.mean, 0.0);
   EXPECT_DOUBLE_EQ(p.variance, 1.0);
 }
@@ -51,7 +68,7 @@ TEST(GpTest, MeanRevertsToDataMeanFarAway) {
   options.length_scale = 0.05;
   GaussianProcess gp(options);
   ASSERT_TRUE(gp.Fit(x, y));
-  EXPECT_NEAR(gp.Predict({0.0}).mean, 11.0, 0.5);
+  EXPECT_NEAR(Predict(gp, {0.0}).mean, 11.0, 0.5);
 }
 
 TEST(GpTest, ExpectedImprovementPositiveWhereUncertain) {
@@ -59,7 +76,7 @@ TEST(GpTest, ExpectedImprovementPositiveWhereUncertain) {
   std::vector<double> y = {1.0, 1.2};
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(x, y));
-  const double ei_far = gp.ExpectedImprovement({0.9}, 1.2);
+  const double ei_far = ExpectedImprovement(gp, {0.9}, 1.2);
   EXPECT_GT(ei_far, 0.0);
 }
 
@@ -72,9 +89,9 @@ TEST(GpTest, ExpectedImprovementNearZeroAtDominatedKnownPoint) {
   GaussianProcess gp(options);
   ASSERT_TRUE(gp.Fit(x, y));
   // At the known bad point, EI over best=2.0 should be tiny.
-  EXPECT_LT(gp.ExpectedImprovement({0.2}, 2.0), 0.05);
-  EXPECT_GT(gp.ExpectedImprovement({0.5}, 2.0),
-            gp.ExpectedImprovement({0.2}, 2.0));
+  EXPECT_LT(ExpectedImprovement(gp, {0.2}, 2.0), 0.05);
+  EXPECT_GT(ExpectedImprovement(gp, {0.5}, 2.0),
+            ExpectedImprovement(gp, {0.2}, 2.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -126,12 +143,12 @@ TEST(GpTest, IncrementalFitMatchesFullRefit) {
   for (int p = 0; p < 20; ++p) {
     std::vector<double> q(d);
     for (double& v : q) v = rng.Uniform(0.0, 1.0);
-    const auto pi = incremental.Predict(q);
-    const auto pf = full.Predict(q);
+    const auto pi = Predict(incremental, q);
+    const auto pf = Predict(full, q);
     EXPECT_EQ(pi.mean, pf.mean);
     EXPECT_EQ(pi.variance, pf.variance);
-    EXPECT_EQ(incremental.ExpectedImprovement(q, 0.4),
-              full.ExpectedImprovement(q, 0.4));
+    EXPECT_EQ(ExpectedImprovement(incremental, q, 0.4),
+              ExpectedImprovement(full, q, 0.4));
   }
 }
 
@@ -153,8 +170,8 @@ TEST(GpTest, SlidingWindowFallsBackToFullRefit) {
   ASSERT_TRUE(fresh.Fit(RowSlice(x, 1, 10), {y.begin() + 1, y.begin() + 10}));
   for (int p = 0; p < 10; ++p) {
     std::vector<double> q = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
-    EXPECT_EQ(gp.Predict(q).mean, fresh.Predict(q).mean);
-    EXPECT_EQ(gp.Predict(q).variance, fresh.Predict(q).variance);
+    EXPECT_EQ(Predict(gp, q).mean, Predict(fresh, q).mean);
+    EXPECT_EQ(Predict(gp, q).variance, Predict(fresh, q).variance);
   }
 }
 
@@ -179,11 +196,15 @@ TEST(GpTest, BatchPredictionMatchesScalarPath) {
   gp.ExpectedImprovementBatch(q, 0.7, &ei_batch);
   ASSERT_EQ(batch.size(), queries);
   ASSERT_EQ(ei_batch.size(), queries);
+  // The seed GP: per-pair kernel loop, per-candidate two-pass solve.
+  sampleref::SeedGp seed_gp;
+  ASSERT_TRUE(seed_gp.Fit(x, y));
   for (size_t r = 0; r < queries; ++r) {
-    const auto scalar = gp.Predict(q.Row(r));
+    const auto scalar = seed_gp.Predict(q.Row(r));
     EXPECT_NEAR(batch[r].mean, scalar.mean, 1e-9);
     EXPECT_NEAR(batch[r].variance, scalar.variance, 1e-9);
-    EXPECT_NEAR(ei_batch[r], gp.ExpectedImprovement(q.Row(r), 0.7), 1e-9);
+    EXPECT_NEAR(ei_batch[r], seed_gp.ExpectedImprovement(q.Row(r), 0.7),
+                1e-9);
   }
 }
 
@@ -214,7 +235,7 @@ TEST(GpTest, FitsMultiDimensionalFunction) {
   double total_err = 0.0;
   for (int i = 0; i < 20; ++i) {
     const std::vector<double> q = {rng.Uniform(), rng.Uniform()};
-    total_err += std::abs(gp.Predict(q).mean - (std::sin(3 * q[0]) + q[1]));
+    total_err += std::abs(Predict(gp, q).mean - (std::sin(3 * q[0]) + q[1]));
   }
   EXPECT_LT(total_err / 20.0, 0.15);
 }

@@ -6,9 +6,16 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "linalg/matrix.h"
+#include "tests/ml/per_sample_ref.h"
 
 namespace hunter::ml {
 namespace {
+
+// One example as a 1-row batch.
+linalg::Matrix RowMatrix(const std::vector<double>& row) {
+  return linalg::Matrix(std::vector<std::vector<double>>{row});
+}
 
 TEST(MlpTest, ShapesAreConsistent) {
   common::Rng rng(1);
@@ -20,10 +27,14 @@ TEST(MlpTest, ShapesAreConsistent) {
 }
 
 TEST(MlpTest, ForwardMatchesPredict) {
+  // A one-row ForwardBatch is bit-identical to Predict.
   common::Rng rng(2);
   Mlp net({3, 5, 2}, Activation::kTanh, Activation::kLinear, &rng);
   const std::vector<double> x = {0.5, -0.2, 0.9};
-  EXPECT_EQ(net.Forward(x), net.Predict(x));
+  const linalg::Matrix input = RowMatrix(x);
+  linalg::Matrix out;
+  net.ForwardBatch(input, &out);
+  EXPECT_EQ(out.Row(0), net.Predict(x));
 }
 
 TEST(MlpTest, TanhOutputBounded) {
@@ -44,8 +55,10 @@ TEST(MlpTest, LearnsLinearFunction) {
     net.ZeroGradients();
     double a = rng.Uniform(-1, 1), b = rng.Uniform(-1, 1);
     const double target = 2 * a - b;
-    const auto out = net.Forward({a, b});
-    net.Backward({2.0 * (out[0] - target)});
+    const linalg::Matrix input = RowMatrix({a, b});
+    linalg::Matrix out;
+    net.ForwardBatch(input, &out);
+    net.BackwardBatch(RowMatrix({2.0 * (out.At(0, 0) - target)}), nullptr);
     net.AdamStep(1e-2, 1);
   }
   double max_err = 0.0;
@@ -61,8 +74,11 @@ TEST(MlpTest, BackwardGradientMatchesFiniteDifference) {
   common::Rng rng(5);
   Mlp net({3, 6, 1}, Activation::kTanh, Activation::kLinear, &rng);
   const std::vector<double> x = {0.3, -0.4, 0.7};
-  net.Forward(x);
-  const std::vector<double> analytic = net.Backward({1.0});
+  const linalg::Matrix input = RowMatrix(x);
+  linalg::Matrix out, grad_in;
+  net.ForwardBatch(input, &out);
+  net.BackwardBatch(RowMatrix({1.0}), &grad_in);
+  const std::vector<double> analytic = grad_in.Row(0);
   const double eps = 1e-6;
   for (size_t i = 0; i < x.size(); ++i) {
     std::vector<double> xp = x, xm = x;
@@ -128,12 +144,17 @@ TEST(MlpTest, ForwardBatchMatchesPerSampleForward) {
 }
 
 TEST(MlpTest, BatchedTrainingMatchesPerSampleTraining) {
-  // Two identical networks, one trained per-sample and one batched, must
-  // stay equal (to 1e-9) across several Adam steps — the golden-equivalence
-  // contract the batched DDPG path relies on.
+  // The batched network and the per-sample reference, built from the same
+  // seed, must stay bit-identical across several Adam steps (input
+  // gradients and parameters) — the golden-equivalence contract the
+  // batched DDPG path relies on.
+  const std::vector<size_t> sizes = {4, 10, 6, 2};
   common::Rng rng(11);
-  Mlp scalar_net({4, 10, 6, 2}, Activation::kReLU, Activation::kLinear, &rng);
-  Mlp batch_net = scalar_net;
+  common::Rng ref_rng(11);
+  Mlp batch_net(sizes, Activation::kReLU, Activation::kLinear, &rng);
+  sampleref::PerSampleMlp scalar_net(sizes, Activation::kReLU,
+                                     Activation::kLinear, &ref_rng);
+  ASSERT_EQ(scalar_net.SaveParameters(), batch_net.SaveParameters());
   const size_t batch = 8;
   common::Rng data_rng(12);
   for (int step = 0; step < 25; ++step) {
@@ -159,23 +180,20 @@ TEST(MlpTest, BatchedTrainingMatchesPerSampleTraining) {
 
     ASSERT_EQ(grad_in.rows(), batch);
     for (size_t r = 0; r < batch; ++r) {
-      for (size_t c = 0; c < 4; ++c) {
-        ASSERT_NEAR(grad_in.At(r, c), scalar_grad_in[r][c], 1e-9)
-            << "step " << step;
-      }
+      ASSERT_EQ(grad_in.Row(r), scalar_grad_in[r]) << "step " << step;
     }
+    ASSERT_EQ(scalar_net.SaveParameters(), batch_net.SaveParameters())
+        << "step " << step;
   }
-  const std::vector<double> a = scalar_net.SaveParameters();
-  const std::vector<double> b = batch_net.SaveParameters();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) ASSERT_NEAR(a[i], b[i], 1e-9);
 }
 
 TEST(MlpTest, ZeroGradientsPreventsAccumulationCarryOver) {
   common::Rng rng(9);
   Mlp net({2, 4, 1}, Activation::kReLU, Activation::kLinear, &rng);
-  net.Forward({1.0, 1.0});
-  net.Backward({1.0});
+  const linalg::Matrix input = RowMatrix({1.0, 1.0});
+  linalg::Matrix out;
+  net.ForwardBatch(input, &out);
+  net.BackwardBatch(RowMatrix({1.0}), nullptr);
   net.ZeroGradients();
   const auto before = net.Predict({1.0, 1.0});
   net.AdamStep(0.1, 1);  // gradients are zero -> parameters unchanged

@@ -183,6 +183,41 @@ TEST(JournalTest, NonFiniteMetricsSurviveRoundTrip) {
   EXPECT_TRUE(std::isnan(parsed.records[0].metrics[0].value));
 }
 
+TEST(JournalTest, ParseRejectsDeepNestingWithLineNumber) {
+  // One line of 100,000 '[' used to recurse once per bracket and overflow
+  // the stack; the reader now stops at its depth cap with a clean error.
+  common::SimClock clock;
+  const Journal journal(&clock, nullptr);
+  std::istringstream in(WriteToString(journal) + std::string(100000, '[') +
+                        "\n");
+  ParsedJournal parsed;
+  std::string error;
+  EXPECT_FALSE(ParseJournal(in, &parsed, &error));
+  EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << error;
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+}
+
+TEST(JournalTest, ParseRejectsHistogramCountThatIsNotACount) {
+  common::SimClock clock;
+  MetricsRegistry registry;
+  registry.RegisterHistogram("h")->Observe(1.0);
+  Journal journal(&clock, &registry);
+  journal.SnapshotMetrics("s");
+  const std::string text = WriteToString(journal);
+  const std::string field = "\"count\":1";
+  const size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos) << text;
+  for (const std::string bad : {"-1", "1e300", "0.5", "\"NaN\""}) {
+    std::string mutated = text;
+    mutated.replace(at + field.size() - 1, 1, bad);
+    std::istringstream in(mutated);
+    ParsedJournal parsed;
+    std::string error;
+    EXPECT_FALSE(ParseJournal(in, &parsed, &error)) << bad;
+    EXPECT_NE(error.find("count"), std::string::npos) << error;
+  }
+}
+
 TEST(JournalTest, BytesIgnoreHostileGlobalLocale) {
   class CommaNumpunct : public std::numpunct<char> {
    protected:
