@@ -3,9 +3,10 @@
 // each hot path it times the seed implementation (replicated below as the
 // `ref` baselines, in tests/cdb/seed_engine_ref.h for the engine, in
 // tests/ml/cart_position_ref.h for the position-list CART, in
-// tests/ml/per_sample_ref.h for the per-sample MLP/DDPG and the seed GP, and
-// in tests/linalg/jacobi_ref.h for the Jacobi eigensolver) against the
-// rewrite,
+// tests/ml/per_sample_ref.h for the per-sample MLP/DDPG and the seed GP, in
+// tests/linalg/jacobi_ref.h for the Jacobi eigensolver, and in
+// tests/linalg/triangular_ref.h for the row-order Cholesky and the
+// per-candidate forward substitution) against the rewrite,
 // asserts the two agree (ML paths to 1e-9; the engine fast path — flat
 // intrusive LRU, cached Zipf samplers, bit-exact early-exit fixed point —
 // bit for bit at tolerance 0.0), and writes machine-readable
@@ -67,6 +68,7 @@
 #include "ml/replay_buffer.h"
 #include "tests/cdb/seed_engine_ref.h"
 #include "tests/linalg/jacobi_ref.h"
+#include "tests/linalg/triangular_ref.h"
 #include "tests/ml/cart_position_ref.h"
 #include "tests/ml/per_sample_ref.h"
 #include "workload/workloads.h"
@@ -840,7 +842,7 @@ void BenchGpEiBatch(bool smoke) {
   // and an allocating kernel row each), the optimized path one GEMM-backed
   // ExpectedImprovementBatch call.
   const size_t n = smoke ? 24 : 120;
-  const size_t d = smoke ? 8 : 48;
+  const size_t d = smoke ? 8 : 65;
   const size_t candidates = smoke ? 20 : 200;
   const int iters = smoke ? 2 : 20;
   Rng data_rng(0xBEEF11);
@@ -1239,12 +1241,14 @@ void BenchGemmSimd(bool smoke) {
 }
 
 void BenchGpKernelSimd(bool smoke) {
-  // The GP's vectorized kernels end to end: the Gram GEMM and the
-  // squared-distance expansion (SquaredDistInto) inside Fit, then the
-  // GEMM-backed cross-covariance and squared-distance expansion inside
-  // ExpectedImprovementBatch.
+  // The GP's vectorized kernels end to end at the tuners' shape (120
+  // observations of 65 knobs, 200 candidates): the Gram GEMM, the
+  // squared-distance expansion and the column-lane Cholesky inside Fit,
+  // then the cross-covariance GEMM, the expansion, the mean GEMM and the
+  // multi-right-hand-side forward substitution inside PredictBatch. The
+  // gate compares the posterior means and variances as well as EI.
   const size_t n = smoke ? 24 : 120;
-  const size_t d = smoke ? 8 : 48;
+  const size_t d = smoke ? 8 : 65;
   const size_t candidates = smoke ? 20 : 200;
   const int iters = smoke ? 2 : 20;
   Rng data_rng(0xBEEF21);
@@ -1264,8 +1268,20 @@ void BenchGpKernelSimd(bool smoke) {
   simd_gp.Fit(x, y);
   std::vector<double> simd_scores;
   simd_gp.ExpectedImprovementBatch(cand, best, &simd_scores);
-  RecordEquiv("gp_kernel_simd_vs_scalar",
-              MaxAbsDiff(scalar_scores, simd_scores), 0.0);
+  std::vector<hunter::ml::GaussianProcess::Prediction> scalar_preds;
+  std::vector<hunter::ml::GaussianProcess::Prediction> simd_preds;
+  hunter::common::SetSimdTierForTesting(hunter::common::SimdTier::kScalar);
+  scalar_gp.PredictBatch(cand, &scalar_preds);
+  hunter::common::ClearSimdTierForTesting();
+  simd_gp.PredictBatch(cand, &simd_preds);
+  double max_diff = MaxAbsDiff(scalar_scores, simd_scores);
+  for (size_t c = 0; c < candidates; ++c) {
+    max_diff = std::max(
+        max_diff, std::abs(scalar_preds[c].mean - simd_preds[c].mean));
+    max_diff = std::max(max_diff, std::abs(scalar_preds[c].variance -
+                                           simd_preds[c].variance));
+  }
+  RecordEquiv("gp_kernel_simd_vs_scalar", max_diff, 0.0);
 
   double sink = 0.0;
   hunter::common::SetSimdTierForTesting(hunter::common::SimdTier::kScalar);
@@ -1291,6 +1307,129 @@ void BenchGpKernelSimd(bool smoke) {
               "fit n=" + std::to_string(n) + ", d=" + std::to_string(d) +
                   " + EI over " + std::to_string(candidates) + " candidates",
               baseline_ms, optimized_ms);
+}
+
+// A GP-shaped triangular problem: the Cholesky factor of the GP's default
+// SE kernel matrix (length scale 0.9, noise 5e-3) over n random points in
+// [0,1]^d, and the n x m cross-kernel to m candidates, one per column.
+void MakeGpTriangular(size_t n, size_t d, size_t m, Rng* rng, Matrix* kernel,
+                      Matrix* lower, Matrix* cross) {
+  std::vector<double> y;
+  Matrix x, q;
+  MakeRegressionData(n, d, rng, &x, &y);
+  MakeRegressionData(m, d, rng, &q, &y);
+  const auto se = [d](const double* a, const double* b) {
+    double sq = 0.0;
+    for (size_t c = 0; c < d; ++c) sq += (a[c] - b[c]) * (a[c] - b[c]);
+    return std::exp(-0.5 * sq / (0.9 * 0.9));
+  };
+  *kernel = Matrix(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      kernel->At(i, j) = se(x.Data() + i * d, x.Data() + j * d);
+    }
+    kernel->At(i, i) += 5e-3;
+  }
+  hunter::linalg::Cholesky(*kernel, lower);
+  *cross = Matrix(n, m);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t c = 0; c < m; ++c) {
+      cross->At(j, c) = se(x.Data() + j * d, q.Data() + c * d);
+    }
+  }
+}
+
+void BenchGpForwardSubstSimd(bool smoke) {
+  // PredictBatch's variance solve, W = L^-1 K*, over every candidate at
+  // once, with ‖w‖² per candidate. Gated bit for bit against the scalar
+  // tier; timed against the scalar tier and against the per-candidate
+  // substitution it replaced (tests/linalg/triangular_ref.h).
+  const size_t n = smoke ? 24 : 120;
+  const size_t m = smoke ? 21 : 200;
+  const int iters = smoke ? 2 : 200;
+  Rng rng(0xBEEF23);
+  Matrix kernel, lower, cross;
+  MakeGpTriangular(n, smoke ? 8 : 65, m, &rng, &kernel, &lower, &cross);
+
+  Matrix w_scalar = cross;
+  std::vector<double> norms_scalar(m);
+  hunter::linalg::simd::ForwardSubstMultiScalar(
+      lower.Data(), n, w_scalar.Data(), m, norms_scalar.data());
+  Matrix w_simd = cross;
+  std::vector<double> norms_simd(m);
+  hunter::linalg::simd::ForwardSubstMulti(lower.Data(), n, w_simd.Data(), m,
+                                          norms_simd.data());
+  double max_diff = std::max(MaxAbsDiff(w_scalar.data(), w_simd.data()),
+                             MaxAbsDiff(norms_scalar, norms_simd));
+  RecordEquiv("gp_forward_subst_simd_vs_scalar", max_diff, 0.0);
+
+  Matrix work(n, m);
+  std::vector<double> norms(m);
+  const auto solve = [&] {
+    std::copy(cross.data().begin(), cross.data().end(), work.Data());
+    hunter::linalg::simd::ForwardSubstMulti(lower.Data(), n, work.Data(), m,
+                                            norms.data());
+  };
+  hunter::common::SetSimdTierForTesting(hunter::common::SimdTier::kScalar);
+  const double scalar_ms = TimeMs(solve, iters);
+  hunter::common::ClearSimdTierForTesting();
+  const double dispatched_ms = TimeMs(solve, iters);
+  const Matrix cross_t = cross.Transpose();  // one candidate per row
+  std::vector<double> forward(n);
+  double sink = 0.0;
+  const double per_candidate_ms = TimeMs(
+      [&] {
+        for (size_t c = 0; c < m; ++c) {
+          sink += hunter::linalg::triref::ForwardSubstPerCandidate(
+              lower, cross_t.Data() + c * n, forward.data());
+        }
+      },
+      iters);
+  if (sink == 42.0) std::printf("unlikely\n");  // keep the sink alive
+  const std::string config =
+      "n=" + std::to_string(n) + ", " + std::to_string(m) + " candidates";
+  RecordBench("gp_forward_subst_simd", config + "; scalar tier vs dispatched",
+              scalar_ms, dispatched_ms);
+  RecordBench("gp_forward_subst",
+              config + "; baseline = per-candidate substitution",
+              per_candidate_ms, dispatched_ms);
+}
+
+void BenchCholeskySimd(bool smoke) {
+  // Fit's factorization of the n x n GP kernel matrix. Gated bit for bit
+  // against the scalar tier; timed against the scalar tier and against the
+  // row-order loop it replaced (tests/linalg/triangular_ref.h).
+  const size_t n = smoke ? 24 : 120;
+  const int iters = smoke ? 2 : 200;
+  Rng rng(0xBEEF24);
+  Matrix kernel, lower, cross;
+  MakeGpTriangular(n, smoke ? 8 : 65, 1, &rng, &kernel, &lower, &cross);
+
+  Matrix scalar_l;
+  hunter::common::SetSimdTierForTesting(hunter::common::SimdTier::kScalar);
+  const bool scalar_ok = hunter::linalg::Cholesky(kernel, &scalar_l);
+  hunter::common::ClearSimdTierForTesting();
+  Matrix simd_l;
+  const bool simd_ok = hunter::linalg::Cholesky(kernel, &simd_l);
+  RecordEquiv("cholesky_simd_vs_scalar",
+              scalar_ok && simd_ok
+                  ? MaxAbsDiff(scalar_l.data(), simd_l.data())
+                  : std::numeric_limits<double>::infinity(),
+              0.0);
+
+  Matrix out;
+  const auto factor = [&] { hunter::linalg::Cholesky(kernel, &out); };
+  hunter::common::SetSimdTierForTesting(hunter::common::SimdTier::kScalar);
+  const double scalar_ms = TimeMs(factor, iters);
+  hunter::common::ClearSimdTierForTesting();
+  const double dispatched_ms = TimeMs(factor, iters);
+  const double row_order_ms = TimeMs(
+      [&] { hunter::linalg::triref::RowOrderCholesky(kernel, &out); }, iters);
+  const std::string config = std::to_string(n) + "x" + std::to_string(n);
+  RecordBench("cholesky_simd", config + " scalar tier vs dispatched",
+              scalar_ms, dispatched_ms);
+  RecordBench("cholesky", config + "; baseline = row-order loop",
+              row_order_ms, dispatched_ms);
 }
 
 void BenchMlpForwardSimd(bool smoke) {
@@ -1436,6 +1575,8 @@ int main(int argc, char** argv) {
   BenchPca(smoke);
   BenchGemmSimd(smoke);
   BenchGpKernelSimd(smoke);
+  BenchGpForwardSubstSimd(smoke);
+  BenchCholeskySimd(smoke);
   BenchMlpForwardSimd(smoke);
   WriteJson(out_path, smoke);
 

@@ -1,10 +1,13 @@
 #include "hunter/model_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <system_error>
 
 #include "common/text.h"
 
@@ -21,11 +24,26 @@ void WriteVector(std::ostream& os, const char* tag,
   os << "\n";
 }
 
+// Reads one token as a count: decimal digits only, within size_t. A plain
+// `is >> size_t` would accept a sign and wrap "-1" to 2^64 - 1.
+bool ReadCount(std::istream& is, size_t* value) {
+  std::string token;
+  if (!(is >> token)) return false;
+  for (const char ch : token) {
+    if (ch < '0' || ch > '9') return false;
+  }
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
 bool ReadVector(std::istream& is, const std::string& expected_tag,
                 std::vector<double>* values) {
   std::string tag;
   size_t count = 0;
-  if (!(is >> tag >> count) || tag != expected_tag) return false;
+  if (!(is >> tag) || tag != expected_tag || !ReadCount(is, &count)) {
+    return false;
+  }
   // `count` is untrusted: values are appended as they parse, so a corrupt
   // count runs out of input instead of sizing an allocation.
   values->clear();
@@ -76,7 +94,9 @@ bool LoadModel(std::istream& is, HunterModel* model) {
   size_t state_dim = 0;
   int use_pca = 0;
   std::string signature;
-  if (!(is >> tag >> state_dim) || tag != "state_dim") return false;
+  if (!(is >> tag) || tag != "state_dim" || !ReadCount(is, &state_dim)) {
+    return false;
+  }
   if (!(is >> tag >> use_pca) || tag != "use_pca") return false;
   if (!(is >> tag >> signature) || tag != "signature") return false;
 
@@ -96,8 +116,13 @@ bool LoadModel(std::istream& is, HunterModel* model) {
     model->space.selected_knobs.push_back(index);
   }
   model->space.knob_importance = std::move(importance);
-  if (model->space.use_pca && !model->space.pca.LoadState(pca_state)) {
-    return false;
+  if (model->space.use_pca) {
+    // The state is the PCA's projection onto its first state_dim
+    // components, so state_dim counts at least one and at most all of them.
+    if (!model->space.pca.LoadState(pca_state) || state_dim == 0 ||
+        state_dim > model->space.pca.input_dim()) {
+      return false;
+    }
   }
   model->ddpg_parameters = std::move(params);
   model->base_config = std::move(base);

@@ -326,20 +326,21 @@ EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps) {
 bool Cholesky(const Matrix& a, Matrix* lower) {
   assert(a.rows() == a.cols());
   const size_t n = a.rows();
-  *lower = Matrix(n, n);
+  if (lower != &a) lower->Reshape(n, n);
+  // The column-lane kernel works on Lᵀ so that each column of L is one
+  // contiguous row: copy A's lower triangle, transposed, into the upper.
+  double* u = lower->Data();
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = a.At(i, j);
-      for (size_t k = 0; k < j; ++k) sum -= lower->At(i, k) * lower->At(j, k);
-      if (i == j) {
-        if (sum <= 0.0) return false;
-        lower->At(i, j) = std::sqrt(sum);
-      } else {
-        lower->At(i, j) = sum / lower->At(j, j);
-      }
+    for (size_t j = 0; j <= i; ++j) u[j * n + i] = a.At(i, j);
+  }
+  const bool spd = simd::CholeskyUpperInPlace(u, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      u[i * n + j] = u[j * n + i];
+      u[j * n + i] = 0.0;
     }
   }
-  return true;
+  return spd;
 }
 
 // hunterlint: hot

@@ -137,7 +137,14 @@ struct EigenResult {
 EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps = 64);
 
 // Cholesky factorization A = L * L^T of a symmetric positive-definite
-// matrix. Returns false if the matrix is not (numerically) SPD.
+// matrix, reading only A's lower triangle. Returns false if the matrix is
+// not (numerically) SPD, at the first column whose diagonal sum is <= 0;
+// `lower` then holds the factor's columns before that one, and the rest
+// of its lower triangle is unspecified. `lower` may alias `a` (an
+// in-place factorization) and keeps its allocation across calls. Each
+// element's sum subtracts its k terms in ascending k, as a row-order loop
+// does (tests/linalg/triangular_ref.h); the kernel computes the rows below
+// one column's diagonal as vector lanes (simd::CholeskyUpperInPlace).
 bool Cholesky(const Matrix& a, Matrix* lower);
 
 // Solves A x = b given the Cholesky factor L (forward + back substitution).

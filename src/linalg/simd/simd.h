@@ -1,7 +1,9 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
 // paths: the GEMM micro-kernels, the elementwise Matrix ops, the GP
-// squared-distance expansion, PCA centering/standardization, the MLP
-// activation / gradient / Adam / soft-update loops, and the CART split scan.
+// squared-distance expansion, the column-lane Cholesky and the multi-
+// right-hand-side forward substitution, PCA centering/standardization, the
+// MLP activation / gradient / Adam / soft-update loops, and the CART split
+// scan.
 //
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
@@ -17,8 +19,12 @@
 //     accumulator whose contraction index ascends exactly as in the scalar
 //     panel; packing eight neighboring accumulators into two YMM registers
 //     changes which elements are computed together, not how any one of them
-//     rounds. Genuine reductions (dot products, substitution sums, the
-//     Cholesky diagonal) stay scalar.
+//     rounds. The same holds for substitution sums: one element's sum stays
+//     in one lane with its k index ascending, and a triangular kernel
+//     vectorizes across elements that do not depend on each other — the
+//     rows below the diagonal of one Cholesky column, or the right-hand
+//     sides of a multi-RHS solve. A reduction into ONE element (a dot
+//     product, the Cholesky diagonal's check) is never split across lanes.
 //  2. No fused contraction. Every kernel issues a separate multiply and
 //     add (vmulpd + vaddpd), each rounding to double, exactly like the
 //     scalar expression under the tree-wide -ffp-contract=off (see the root
@@ -266,6 +272,49 @@ void CartSplitScanAvx2(const SplitScanInput& in, SplitScanResult* out);
 inline void CartSplitScan(const SplitScanInput& in, SplitScanResult* out) {
   if (DispatchAvx2()) CartSplitScanAvx2(in, out);
   else CartSplitScanScalar(in, out);
+}
+
+// ---------------------------------------------------------------------------
+// Triangular kernels (linalg::Cholesky, ml::GaussianProcess::PredictBatch).
+// Each output element's substitution sum runs in one lane, k ascending, as
+// `sum -= a * b` with a separate multiply and subtract and a final divide
+// by the diagonal; the AVX2 kernels hold four independent elements per
+// vector and four vectors in flight, with the exact scalar expression for
+// the ragged tails.
+// ---------------------------------------------------------------------------
+
+// Left-looking Cholesky A = L Lᵀ on the transposed factor, in place. `u` is
+// n x n row-major; on entry its upper triangle (row j, columns i >= j)
+// holds column j of A's lower triangle. For each column j, ascending:
+//   s(i) = u[j][i] - Σ_{k<j} u[k][i] * u[k][j]     (i >= j, k ascending)
+// the diagonal s(j) first: the call returns false as soon as s(j) <= 0
+// (the same column a row-order factorization stops at), otherwise
+// u[j][j] = sqrt(s(j)) and u[j][i] = s(i) / u[j][j] for i > j. On success
+// the upper triangle holds Lᵀ. The strict lower triangle is not touched.
+bool CholeskyUpperInPlaceScalar(double* u, size_t n);
+bool CholeskyUpperInPlaceAvx2(double* u, size_t n);
+
+// Multi-right-hand-side forward substitution L W = B, in place. `lower` is
+// the n x n row-major lower-triangular factor; `b` is n x m row-major with
+// one right-hand side per column and is overwritten by W. Per column, j
+// ascending:
+//   w(j) = (b(j) - Σ_{k<j} L[j][k] * w(k)) / L[j][j]      (k ascending)
+// and sq_norms[c] = Σ_j w(j)² (j ascending, from 0.0) — the GP's
+// ‖L⁻¹k*‖² for every candidate at once.
+void ForwardSubstMultiScalar(const double* lower, size_t n, double* b,
+                             size_t m, double* sq_norms);
+void ForwardSubstMultiAvx2(const double* lower, size_t n, double* b,
+                           size_t m, double* sq_norms);
+
+inline bool CholeskyUpperInPlace(double* u, size_t n) {
+  if (DispatchAvx2()) return CholeskyUpperInPlaceAvx2(u, n);
+  return CholeskyUpperInPlaceScalar(u, n);
+}
+
+inline void ForwardSubstMulti(const double* lower, size_t n, double* b,
+                              size_t m, double* sq_norms) {
+  if (DispatchAvx2()) ForwardSubstMultiAvx2(lower, n, b, m, sq_norms);
+  else ForwardSubstMultiScalar(lower, n, b, m, sq_norms);
 }
 
 // Dispatching wrappers for the elementwise kernels.

@@ -32,39 +32,41 @@ bool GaussianProcess::Fit(const linalg::Matrix& x,
                           const std::vector<double>& y) {
   assert(x.rows() == y.size());
   const size_t n = x.rows();
+  const size_t d = x.cols();
   train_x_ = x;
-  train_xt_ = x.Transpose();
+  train_xt_.Reshape(d, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < d; ++c) train_xt_.At(c, i) = x.At(i, c);
+  }
 
   // Gram matrix G = X Xᵀ in one GEMM, then K(i,j) from the squared-distance
   // expansion. The row norms are read off G's diagonal so the expansion
   // yields exactly zero distance on the diagonal (nᵢ + nᵢ − 2nᵢ).
-  linalg::Matrix gram(n, n);
+  gram_.Reshape(n, n);
   if (n > 0) {
-    linalg::GemmTransposedAInto(train_xt_.Data(), x.cols(), n,
-                                train_xt_.Data(), n, /*accumulate=*/false,
-                                gram.Data());
+    linalg::GemmTransposedAInto(train_xt_.Data(), d, n, train_xt_.Data(), n,
+                                /*accumulate=*/false, gram_.Data());
   }
   row_norms_.resize(n);
-  for (size_t i = 0; i < n; ++i) row_norms_[i] = gram.At(i, i);
+  for (size_t i = 0; i < n; ++i) row_norms_[i] = gram_.At(i, i);
 
-  linalg::Matrix k(n, n);
   // Squared distances for row i's upper triangle in one vector kernel (the
-  // clamped max(0, nᵢ + nⱼ − 2g) expansion), then the scalar exp — libm has
-  // no bit-reproducible vector form.
+  // clamped max(0, nᵢ + nⱼ − 2g) expansion, in place over the Gram row),
+  // then the scalar exp — libm has no bit-reproducible vector form. K's
+  // lower triangle goes straight into chol_, which Cholesky factors in
+  // place.
   const double ls = options_.length_scale * options_.length_scale;
-  std::vector<double> sq(n);
+  chol_.Reshape(n, n);
   for (size_t i = 0; i < n; ++i) {
-    const double* gram_row = gram.Data() + i * n;
+    double* sq = gram_.Data() + i * n;
     linalg::simd::SquaredDistInto(row_norms_[i], row_norms_.data() + i,
-                                  gram_row + i, sq.data() + i, n - i);
+                                  sq + i, sq + i, n - i);
     for (size_t j = i; j < n; ++j) {
-      const double value = options_.signal_variance * std::exp(-0.5 * sq[j] / ls);
-      k.At(i, j) = value;
-      k.At(j, i) = value;
+      chol_.At(j, i) = options_.signal_variance * std::exp(-0.5 * sq[j] / ls);
     }
-    k.At(i, i) += options_.noise_variance;
+    chol_.At(i, i) += options_.noise_variance;
   }
-  if (!linalg::Cholesky(k, &chol_)) {
+  if (!linalg::Cholesky(chol_, &chol_)) {
     fitted_ = false;
     return false;
   }
@@ -72,9 +74,9 @@ bool GaussianProcess::Fit(const linalg::Matrix& x,
   y_mean_ = 0.0;
   for (double v : y) y_mean_ += v;
   if (n > 0) y_mean_ /= static_cast<double>(n);
-  std::vector<double> centered(n);
-  for (size_t i = 0; i < n; ++i) centered[i] = y[i] - y_mean_;
-  alpha_ = linalg::CholeskySolve(chol_, centered);
+  centered_.resize(n);
+  for (size_t i = 0; i < n; ++i) centered_[i] = y[i] - y_mean_;
+  alpha_ = linalg::CholeskySolve(chol_, centered_);
   fitted_ = true;
   return true;
 }
@@ -91,51 +93,61 @@ void GaussianProcess::PredictBatch(const linalg::Matrix& x,
   const size_t n = train_x_.rows();
   const size_t d = train_x_.cols();
   assert(x.cols() == d);
+  if (m == 0) return;
 
-  // Cross-kernel in one GEMM: C = Xq Xᵀ (m x n), then per-query k* rows via
-  // the same expansion the training kernel uses.
-  cross_.Reshape(m, n);
-  if (m > 0 && n > 0) {
-    linalg::GemmInto(x.Data(), m, d, train_xt_.Data(), n,
-                     /*accumulate=*/false, cross_.Data());
-  }
+  // Candidates are the lanes from here on: K* is built n x m (one training
+  // row per matrix row, one candidate per column), the layout in which the
+  // mean and the forward substitution vectorize across candidates.
+  query_t_.Reshape(d, m);
   query_norms_.resize(m);
   for (size_t i = 0; i < m; ++i) {
     // Ascending self-dot: the contraction order of the Gram GEMM whose
     // diagonal holds the training rows' norms.
     const linalg::RowSpan q = x.RowView(i);
     double norm = 0.0;
-    for (size_t k = 0; k < d; ++k) norm += q[k] * q[k];
+    for (size_t k = 0; k < d; ++k) {
+      norm += q[k] * q[k];
+      query_t_.At(k, i) = q[k];
+    }
     query_norms_[i] = norm;
   }
 
-  k_star_.resize(n);
-  forward_.resize(n);
+  // Cross-kernel in one GEMM, C = X Xqᵀ (n x m), then the same expansion
+  // the training kernel uses and the scalar exp (libm, not reproducibly
+  // vectorizable), in place.
+  k_star_.Reshape(n, m);
+  if (n > 0) {
+    linalg::GemmInto(train_x_.Data(), n, d, query_t_.Data(), m,
+                     /*accumulate=*/false, k_star_.Data());
+  }
   const double ls = options_.length_scale * options_.length_scale;
+  for (size_t j = 0; j < n; ++j) {
+    double* row = k_star_.Data() + j * m;
+    linalg::simd::SquaredDistInto(row_norms_[j], query_norms_.data(), row,
+                                  row, m);
+    for (size_t i = 0; i < m; ++i) {
+      row[i] = options_.signal_variance * std::exp(-0.5 * row[i] / ls);
+    }
+  }
+
+  // Mean y_mean + k*ᵀα for every candidate: a one-row GEMM accumulating
+  // onto y_mean, j ascending.
+  means_.assign(m, y_mean_);
+  if (n > 0) {
+    linalg::GemmInto(alpha_.data(), 1, n, k_star_.Data(), m,
+                     /*accumulate=*/true, means_.data());
+  }
+  // Forward substitution only: with w = L^{-1} k*, the quadratic form
+  // k*ᵀ (L Lᵀ)^{-1} k* is exactly wᵀw — a back substitution through Lᵀ
+  // would only re-derive it. One multi-right-hand-side solve over K*.
+  reductions_.resize(m);
+  linalg::simd::ForwardSubstMulti(chol_.Data(), n, k_star_.Data(), m,
+                                  reductions_.data());
   for (size_t i = 0; i < m; ++i) {
-    // Vectorized squared-distance expansion into k_star_, finished in place
-    // by the scalar exp (libm, not reproducibly vectorizable) fused with
-    // the ascending mean accumulation.
-    linalg::simd::SquaredDistInto(query_norms_[i], row_norms_.data(),
-                                  cross_.Data() + i * n, k_star_.data(), n);
-    double mean = y_mean_;
-    for (size_t j = 0; j < n; ++j) {
-      k_star_[j] = options_.signal_variance * std::exp(-0.5 * k_star_[j] / ls);
-      mean += k_star_[j] * alpha_[j];
-    }
-    // Forward substitution only: with w = L^{-1} k*, the quadratic form
-    // k*ᵀ (L Lᵀ)^{-1} k* is exactly wᵀw — a back substitution through Lᵀ
-    // would only re-derive it.
-    double reduction = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      double sum = k_star_[j];
-      for (size_t k = 0; k < j; ++k) sum -= chol_.At(j, k) * forward_[k];
-      forward_[j] = sum / chol_.At(j, j);
-      reduction += forward_[j] * forward_[j];
-    }
     // k(x,x) via the expansion is exactly signal_variance (zero distance).
-    (*out)[i].mean = mean;
-    (*out)[i].variance = std::max(0.0, options_.signal_variance - reduction);
+    (*out)[i].mean = means_[i];
+    (*out)[i].variance =
+        std::max(0.0, options_.signal_variance - reductions_[i]);
   }
 }
 

@@ -10,11 +10,18 @@
 //  * The kernel matrix is built from the squared-distance expansion
 //    ‖a − b‖² = ‖a‖² + ‖b‖² − 2 aᵀb with the Gram matrix computed by one
 //    GemmTransposedAInto call, instead of an allocating per-row double loop.
+//  * Fit writes K's lower triangle straight into the factor's storage and
+//    factors it in place with the column-lane linalg::Cholesky; its Gram,
+//    squared-distance and centering buffers are reused across fits.
 //  * PredictBatch / ExpectedImprovementBatch score a whole candidate matrix
-//    in one GEMM-backed pass over reused scratch arenas, with the posterior
-//    variance taken from the forward substitution alone
-//    (σ² = k(x,x) − ‖L⁻¹k*‖², the identity a two-pass solve computes the
-//    long way). Results match the seed's per-candidate GP
+//    in one pass over reused scratch arenas with candidates as the vector
+//    lanes: the n x m cross-kernel K* = X Xqᵀ in one GEMM, the means as a
+//    one-row GEMM (α ascending onto the training mean), and the posterior
+//    variance from one multi-right-hand-side forward substitution
+//    W = L⁻¹K* (σ² = k(x,x) − ‖L⁻¹k*‖², the identity a two-pass solve
+//    computes the long way). Each candidate's sums keep the per-candidate
+//    order, so results are bit-identical to the per-candidate loops of
+//    tests/linalg/triangular_ref.h (gp_test) and match the seed's GP
 //    (tests/ml/per_sample_ref.h) to 1e-9, asserted in gp_test and in
 //    bench_micro_hotpaths before any timing is trusted.
 
@@ -66,17 +73,21 @@ class GaussianProcess {
   GpOptions options_;
   bool fitted_ = false;
   linalg::Matrix train_x_;         // n x d
-  linalg::Matrix train_xt_;        // d x n, for the batch cross-kernel GEMM
   std::vector<double> row_norms_;  // ‖x_i‖², bit-matching the Gram diagonal
   double y_mean_ = 0.0;
   linalg::Matrix chol_;            // Cholesky factor of K + noise I
   std::vector<double> alpha_;      // (K + noise I)^-1 (y - mean)
 
-  // Scratch arenas for the batch paths (allocation-free in steady state).
-  mutable linalg::Matrix cross_;           // m x n cross-kernel
+  // Scratch arenas (allocation-free in steady state). Fit:
+  linalg::Matrix train_xt_;        // d x n, for the Gram GEMM
+  linalg::Matrix gram_;            // n x n Gram, then squared distances
+  std::vector<double> centered_;   // y - mean
+  // The batch paths:
+  mutable linalg::Matrix query_t_;         // d x m, candidates as columns
   mutable std::vector<double> query_norms_;
-  mutable std::vector<double> k_star_;     // per-query kernel row
-  mutable std::vector<double> forward_;    // L^{-1} k* per query
+  mutable linalg::Matrix k_star_;          // n x m cross-kernel, then L^-1 K*
+  mutable std::vector<double> means_;
+  mutable std::vector<double> reductions_;  // ‖L^-1 k*‖² per candidate
   mutable std::vector<Prediction> batch_predictions_;
 };
 

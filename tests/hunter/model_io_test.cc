@@ -157,6 +157,42 @@ TEST(ModelIoTest, RejectsKnobIndicesThatAreNotIndices) {
   EXPECT_EQ(model.space.selected_knobs, (std::vector<size_t>{0, 64}));
 }
 
+// The saved text of MakeModel(with_pca) with its state_dim value replaced.
+std::string WithStateDim(bool with_pca, const std::string& value) {
+  std::stringstream stream;
+  EXPECT_TRUE(SaveModel(MakeModel(with_pca), stream));
+  std::string text = stream.str();
+  const size_t begin = text.find("state_dim ") + std::string("state_dim ").size();
+  const size_t end = text.find('\n', begin);
+  return text.replace(begin, end - begin, value);
+}
+
+TEST(ModelIoTest, RejectsStateDimThatIsNotACount) {
+  // state_dim was read with `>> size_t`, which took "-1" as 2^64 - 1 and
+  // would have sized the recommender's networks from it.
+  for (const bool with_pca : {false, true}) {
+    for (const std::string value :
+         {"-1", "-0", "+5", "5.0", "1e1", "0x5", "5a", "18446744073709551616"}) {
+      std::stringstream stream(WithStateDim(with_pca, value));
+      HunterModel model;
+      EXPECT_FALSE(LoadModel(stream, &model)) << with_pca << " " << value;
+    }
+  }
+  // With a PCA, the state is its projection onto state_dim of its 8
+  // components: none, or more than it has, disagree with it.
+  for (const std::string value : {"0", "9"}) {
+    std::stringstream stream(WithStateDim(true, value));
+    HunterModel model;
+    EXPECT_FALSE(LoadModel(stream, &model)) << value;
+  }
+  for (const std::string value : {"1", "8"}) {
+    std::stringstream stream(WithStateDim(true, value));
+    HunterModel model;
+    ASSERT_TRUE(LoadModel(stream, &model)) << value;
+    EXPECT_EQ(std::to_string(model.space.state_dim), value);
+  }
+}
+
 TEST(ModelIoTest, MissingFileFails) {
   HunterModel model;
   EXPECT_FALSE(LoadModelFromFile("/no/such/dir/model.txt", &model));

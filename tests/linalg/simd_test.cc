@@ -425,6 +425,63 @@ TEST(SimdGemmTest, GemmTransposedAIntoBitIdentical) {
   }
 }
 
+// A well-conditioned lower-triangular factor (unit-scale diagonal), so the
+// substitution stays finite for any right-hand side.
+std::vector<double> RandomLower(size_t n, Rng* rng) {
+  std::vector<double> l(n * n, 0.0);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t k = 0; k < j; ++k) l[j * n + k] = rng->Uniform(-0.5, 0.5);
+    l[j * n + j] = rng->Uniform(0.5, 2.0);
+  }
+  return l;
+}
+
+TEST(SimdTriangularTest, ForwardSubstMultiBitIdentical) {
+  Rng rng(0x51D00C);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                         size_t{7}, size_t{40}}) {
+    const std::vector<double> lower = RandomLower(n, &rng);
+    for (const size_t m : kSizes) {
+      const std::vector<double> rhs = RandomVec(n * m, &rng);
+      std::vector<double> w_s = rhs, w_v = rhs;
+      std::vector<double> norm_s(m, -1.0), norm_v(m, -2.0);
+      ForwardSubstMultiScalar(lower.data(), n, w_s.data(), m, norm_s.data());
+      ForwardSubstMultiAvx2(lower.data(), n, w_v.data(), m, norm_v.data());
+      ExpectBitsEqual(w_s, w_v);
+      ExpectBitsEqual(norm_s, norm_v);
+    }
+  }
+}
+
+TEST(SimdTriangularTest, CholeskyUpperInPlaceBitIdentical) {
+  Rng rng(0x51D00D);
+  for (size_t n = 0; n <= 41; ++n) {
+    // U's upper triangle holds the columns of the SPD A = L0 L0ᵀ + I.
+    const std::vector<double> l0 = RandomLower(n, &rng);
+    std::vector<double> u(n * n, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j <= i; ++j) {
+        double sum = i == j ? 1.0 : 0.0;
+        for (size_t k = 0; k <= j; ++k) sum += l0[i * n + k] * l0[j * n + k];
+        u[j * n + i] = sum;
+      }
+    }
+    std::vector<double> u_s = u, u_v = u;
+    ASSERT_TRUE(CholeskyUpperInPlaceScalar(u_s.data(), n)) << n;
+    ASSERT_TRUE(CholeskyUpperInPlaceAvx2(u_v.data(), n)) << n;
+    ExpectBitsEqual(u_s, u_v);
+    if (n > 0) {
+      // A non-positive diagonal in the last column: both stop there.
+      u_s = u;
+      u_v = u;
+      u_s[n * n - 1] = u_v[n * n - 1] = -1.0;
+      EXPECT_FALSE(CholeskyUpperInPlaceScalar(u_s.data(), n));
+      EXPECT_FALSE(CholeskyUpperInPlaceAvx2(u_v.data(), n));
+      ExpectBitsEqual(u_s, u_v);
+    }
+  }
+}
+
 // The dispatched entry points honor the testing override: a forced-scalar
 // pass and a hardware-tier pass through Matrix::MultiplyInto must agree to
 // the bit (and the override must clamp/restore cleanly).

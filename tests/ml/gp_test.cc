@@ -1,12 +1,16 @@
 #include "ml/gaussian_process.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "tests/linalg/triangular_ref.h"
 #include "tests/ml/per_sample_ref.h"
 
 namespace hunter::ml {
@@ -120,7 +124,7 @@ linalg::Matrix RowSlice(const linalg::Matrix& x, size_t begin, size_t end) {
   return out;
 }
 
-TEST(GpTest, IncrementalFitMatchesFullRefit) {
+TEST(GpTest, RefitsOverGrowingWindowCarryNoState) {
   // A GP refitted once per new observation over a growing window (the
   // tuners' warm-up) ends in exactly the state of one fit on the whole set:
   // Fit refactorizes from scratch and carries nothing over between calls.
@@ -152,7 +156,7 @@ TEST(GpTest, IncrementalFitMatchesFullRefit) {
   }
 }
 
-TEST(GpTest, SlidingWindowFallsBackToFullRefit) {
+TEST(GpTest, RefitAfterSlidWindowCarriesNoState) {
   common::Rng rng(102);
   const size_t n = 12;
   linalg::Matrix x;
@@ -205,6 +209,109 @@ TEST(GpTest, BatchPredictionMatchesScalarPath) {
     EXPECT_NEAR(batch[r].variance, scalar.variance, 1e-9);
     EXPECT_NEAR(ei_batch[r], seed_gp.ExpectedImprovement(q.Row(r), 0.7),
                 1e-9);
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// GaussianProcess as it scored before its solves became column-lane
+// kernels, one candidate at a time and in plain loops: the Gram and cross
+// dot products ascending, the clamped squared-distance expansion, the
+// row-order Cholesky, the ascending mean, and the per-candidate forward
+// substitution (tests/linalg/triangular_ref.h).
+std::vector<GaussianProcess::Prediction> PerCandidatePredictions(
+    const linalg::Matrix& x, const std::vector<double>& y,
+    const linalg::Matrix& queries, const GpOptions& options) {
+  const size_t n = x.rows();
+  const size_t d = x.cols();
+  const double ls = options.length_scale * options.length_scale;
+  const auto dot = [d](const double* a, const double* b) {
+    double sum = 0.0;
+    for (size_t c = 0; c < d; ++c) sum += a[c] * b[c];
+    return sum;
+  };
+  std::vector<double> norms(n);
+  for (size_t i = 0; i < n; ++i) {
+    norms[i] = dot(x.Data() + i * d, x.Data() + i * d);
+  }
+  linalg::Matrix k(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i; j < n; ++j) {
+      const double g = dot(x.Data() + i * d, x.Data() + j * d);
+      const double sq = std::max(0.0, norms[i] + norms[j] - 2.0 * g);
+      k.At(j, i) = options.signal_variance * std::exp(-0.5 * sq / ls);
+    }
+    k.At(i, i) += options.noise_variance;
+  }
+  linalg::Matrix chol;
+  EXPECT_TRUE(linalg::triref::RowOrderCholesky(k, &chol));
+  double y_mean = 0.0;
+  for (double v : y) y_mean += v;
+  if (n > 0) y_mean /= static_cast<double>(n);
+  std::vector<double> centered(n);
+  for (size_t i = 0; i < n; ++i) centered[i] = y[i] - y_mean;
+  const std::vector<double> alpha = linalg::CholeskySolve(chol, centered);
+
+  std::vector<GaussianProcess::Prediction> out(queries.rows());
+  std::vector<double> k_star(n), forward(n);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const double* row = queries.Data() + q * d;
+    const double q_norm = dot(row, row);
+    double mean = y_mean;
+    for (size_t j = 0; j < n; ++j) {
+      const double c = dot(row, x.Data() + j * d);
+      const double sq = std::max(0.0, q_norm + norms[j] - 2.0 * c);
+      k_star[j] = options.signal_variance * std::exp(-0.5 * sq / ls);
+      mean += k_star[j] * alpha[j];
+    }
+    const double reduction =
+        linalg::triref::ForwardSubstPerCandidate(chol, k_star.data(),
+                                                 forward.data());
+    out[q].mean = mean;
+    out[q].variance = std::max(0.0, options.signal_variance - reduction);
+  }
+  return out;
+}
+
+TEST(GpTest, BatchMatchesPerCandidateReferenceBitForBit) {
+  // Every block width of the candidate lanes (1..9 and two ragged
+  // tuner-sized batches) against training sets from empty to the tuners'
+  // 120-row window, at the tuners' 65 knobs.
+  const size_t d = 65;
+  common::Rng rng(104);
+  std::vector<size_t> widths = {200, 203};
+  for (size_t m = 1; m <= 9; ++m) widths.push_back(m);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{120}}) {
+    linalg::Matrix x;
+    std::vector<double> y;
+    MakeRandomTraining(n, d, &rng, &x, &y);
+    GaussianProcess gp;
+    ASSERT_TRUE(gp.Fit(x, y));
+    for (const size_t m : widths) {
+      linalg::Matrix q(m, d);
+      for (size_t r = 0; r < m; ++r) {
+        for (size_t c = 0; c < d; ++c) q.At(r, c) = rng.Uniform(0.0, 1.0);
+      }
+      // The first candidate sits on a training point: zero distance.
+      if (n > 0) {
+        for (size_t c = 0; c < d; ++c) q.At(0, c) = x.At(n - 1, c);
+      }
+      std::vector<GaussianProcess::Prediction> got;
+      gp.PredictBatch(q, &got);
+      const std::vector<GaussianProcess::Prediction> want =
+          PerCandidatePredictions(x, y, q, gp.options());
+      ASSERT_EQ(got.size(), m);
+      for (size_t r = 0; r < m; ++r) {
+        EXPECT_EQ(Bits(got[r].mean), Bits(want[r].mean))
+            << "n=" << n << " m=" << m << " candidate " << r;
+        EXPECT_EQ(Bits(got[r].variance), Bits(want[r].variance))
+            << "n=" << n << " m=" << m << " candidate " << r;
+      }
+    }
   }
 }
 

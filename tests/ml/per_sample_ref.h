@@ -17,7 +17,9 @@
 //  * SeedGp is the seed GP verbatim: an allocating per-pair kernel loop in
 //    Fit, and per-candidate Predict/ExpectedImprovement with a two-pass
 //    Cholesky solve for the variance. GaussianProcess::PredictBatch and
-//    ExpectedImprovementBatch must match it to 1e-9.
+//    ExpectedImprovementBatch must match it to 1e-9. Its factorization is
+//    the frozen row-order Cholesky of tests/linalg/triangular_ref.h, so the
+//    oracle does not move with linalg::Cholesky.
 //
 // Reference implementations for tests and benches only; they never ship in
 // src/.
@@ -37,6 +39,7 @@
 #include "ml/gaussian_process.h"
 #include "ml/mlp.h"
 #include "ml/replay_buffer.h"
+#include "tests/linalg/triangular_ref.h"
 
 namespace hunter::ml::sampleref {
 
@@ -400,7 +403,7 @@ class SeedGp {
       }
       k.At(i, i) += options_.noise_variance;
     }
-    if (!linalg::Cholesky(k, &chol_)) {
+    if (!linalg::triref::RowOrderCholesky(k, &chol_)) {
       fitted_ = false;
       return false;
     }

@@ -7,7 +7,8 @@
 //
 // Mutations: truncation at sampled offsets, single-bit flips, and a numeric
 // length/count/index field replaced by a huge, negative or non-integral
-// value.
+// value. A saved model's state_dim replaced by a non-count must load as
+// false.
 
 #include <cstddef>
 #include <cstdint>
@@ -144,6 +145,17 @@ bool LoadsCleanly(const std::string& text) {
   return true;
 }
 
+// True when the model text loads: no exception and LoadModel says true.
+bool Loads(const std::string& text) {
+  std::istringstream in(text);
+  core::HunterModel model;
+  try {
+    return core::LoadModel(in, &model);
+  } catch (...) {
+    return false;
+  }
+}
+
 TEST(ParserFuzzTest, JournalMutantsFailCleanly) {
   const std::string& seed = SeedArtifacts().journal;
   ASSERT_FALSE(seed.empty());
@@ -191,6 +203,15 @@ TEST(ParserFuzzTest, ModelMutantsFailCleanly) {
       EXPECT_TRUE(LoadsCleanly(ReplaceNumberAt(seed, fields[0], value)))
           << prefix << value;
     }
+  }
+  // A state_dim that is not a count must not load. (The seed run saves no
+  // PCA; ModelIoTest covers a state_dim its PCA cannot project to.)
+  ASSERT_TRUE(Loads(seed));
+  const size_t state_dim_at = NumberFieldsAfter(seed, "state_dim ")[0];
+  for (const std::string value :
+       {"-1", "+1", "1.0", "1e0", "0x1", "18446744073709551616"}) {
+    EXPECT_FALSE(Loads(ReplaceNumberAt(seed, state_dim_at, value)))
+        << "state_dim " << value;
   }
   for (const std::string prefix : {"selected_knobs ", "pca_state "}) {
     const size_t count_at = NumberFieldsAfter(seed, prefix)[0];

@@ -57,15 +57,16 @@ echo "== [4/11] bench equivalence smoke =="
 # actually have run: a refactor that silently dropped one of the
 # seed-equivalence checks would otherwise pass this stage on timings alone.
 # The references under tests/ (per_sample_ref.h, jacobi_ref.h,
-# cart_position_ref.h, seed_engine_ref.h) only run through these gates and
-# the gtests.
+# triangular_ref.h, cart_position_ref.h, seed_engine_ref.h) only run through
+# these gates and the gtests.
 for gate in zipf_stream_vs_seed bufferpool_replay_vs_seed \
     engine_cold_vs_seed engine_cold_rng_stream gp_fit_vs_seed \
     gp_ei_batch_vs_seed gemm_simd_vs_scalar gp_kernel_simd_vs_scalar \
     mlp_forward_simd_vs_scalar mlp_params_after_step \
     ddpg_loss_batched_vs_seed ddpg_policy_batched_vs_seed \
     pca_ql_vs_jacobi_eigenvalues rf_rows_vs_positions \
-    cart_split_scan_simd_vs_scalar; do
+    cart_split_scan_simd_vs_scalar gp_forward_subst_simd_vs_scalar \
+    cholesky_simd_vs_scalar; do
   grep -q "\"$gate\"" build-check/bench_hotpaths_smoke.json || {
     echo "bench smoke: equivalence gate '$gate' missing from report" >&2
     exit 1
