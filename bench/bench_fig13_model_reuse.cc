@@ -7,6 +7,7 @@
 // optimum 8-10 hours sooner, approaching HUNTER-5's efficiency.
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 
 #include "bench/bench_common.h"
@@ -52,8 +53,10 @@ void RunDirection(const Scenario& source, const Scenario& target,
     auto controller = MakeController(target, 1, 42);
     auto tuner = MakeHunter(target, core::HunterOptions{}, seed + 1);
     tuner->set_name("HUNTER-MR");
-    if (matched.has_value()) {
-      tuner->ImportModel(*matched);  // skip Sample Factory + Optimizer
+    // Importing skips the Sample Factory and Optimizer.
+    if (matched.has_value() && !tuner->ImportModel(*matched)) {
+      std::fprintf(stderr, "HUNTER-MR: the matched model was refused\n");
+      std::exit(1);
     }
     results.push_back(
         tuners::RunTuning(tuner.get(), controller.get(), harness));

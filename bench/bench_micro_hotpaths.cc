@@ -636,9 +636,10 @@ void BenchForest(bool smoke) {
   }
   RecordEquiv("rf_new_vs_reference", diff, 1e-9);
 
-  // Parallel fit must be bit-identical to serial, at several pool widths.
+  // Parallel fit must be bit-identical to serial, at several pool widths;
+  // width 1 is parallel too (its worker plus the calling thread).
   double parallel_diff = 0.0;
-  for (const size_t threads : {2u, 4u}) {
+  for (const size_t threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
     hunter::ml::RandomForest new_parallel;
     Rng rng(0xBEEF07);
@@ -674,8 +675,10 @@ void BenchForest(bool smoke) {
       iters);
   RecordBench("rf_fit",
               std::to_string(options.num_trees) + " trees, n=" +
-                  std::to_string(n) + ", d=" + std::to_string(d) + ", pool=" +
-                  std::to_string(pool.num_threads()),
+                  std::to_string(n) + ", d=" + std::to_string(d) +
+                  ", workers=" + std::to_string(pool.num_threads() + 1) +
+                  " (pool " + std::to_string(pool.num_threads()) +
+                  " + caller)",
               baseline_ms, optimized_ms, pool.num_threads());
 }
 

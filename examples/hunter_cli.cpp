@@ -158,7 +158,13 @@ int main(int argc, char** argv) {
                    cli.load_model.c_str());
       return 1;
     }
-    hunter.ImportModel(model);
+    if (!hunter.ImportModel(model)) {
+      std::fprintf(stderr,
+                   "model from %s does not fit this catalog and "
+                   "recommender\n",
+                   cli.load_model.c_str());
+      return 1;
+    }
     std::printf("loaded model (signature %s); fine-tuning\n",
                 model.signature.c_str());
   }

@@ -1,6 +1,8 @@
-// Fixed-size thread pool used by the Controller to stress-test cloned CDB
-// instances concurrently (the paper's parallelization scheme, §2.2) and by
-// the Random Forest trainer.
+// Fixed-size thread pool owned by the Controller (the paper's
+// parallelization scheme, §2.2). Its two users both fork-join through
+// ParallelFor: the Controller stress-tests a round's clones concurrently,
+// and the Random Forest fits its trees on the same pool, which reaches it
+// through the run journal's executor (obs::Journal::executor).
 
 #ifndef HUNTER_COMMON_THREAD_POOL_H_
 #define HUNTER_COMMON_THREAD_POOL_H_
@@ -29,7 +31,8 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Drains outstanding work and joins all workers; idempotent. After
-  // shutdown, Submit throws instead of enqueueing tasks nobody will run.
+  // shutdown, Submit and ParallelFor throw instead of enqueueing tasks
+  // nobody will run.
   void Shutdown();
 
   // Enqueues a task; the returned future yields the task's result. Throws
@@ -52,6 +55,20 @@ class ThreadPool {
     cv_.notify_one();
     return future;
   }
+
+  // Fork-join: runs body(i) once for every i in [0, n) and returns when all
+  // have finished. The calling thread and up to num_threads() workers claim
+  // indices from a shared counter, so the caller is one more worker (a
+  // 2-thread pool runs a loop on 3 threads) and the loop completes even
+  // when every worker is busy elsewhere. Which thread runs which index is
+  // unspecified: determinism is the body's job (each index writes only its
+  // own outputs and draws only from its own RNG).
+  //
+  // If body throws, no further indices are claimed; the first exception is
+  // rethrown once every helper that started has stopped, since helpers
+  // reference the caller's stack. Throws std::runtime_error after Shutdown,
+  // like Submit. Must not be called from one of this pool's workers.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   size_t num_threads() const { return workers_.size(); }
 

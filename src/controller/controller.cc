@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
-#include <future>
 #include <string>
 #include <thread>
 #include <utility>
@@ -85,6 +84,7 @@ Controller::Controller(std::unique_ptr<cdb::CdbInstance> user_instance,
                                  hw == 0 ? static_cast<size_t>(clones) : hw);
     }
     pool_ = std::make_unique<common::ThreadPool>(threads);
+    journal_.set_executor(pool_.get());
   }
 
   // Registration order is the journal's metric schema: engine series first
@@ -220,25 +220,17 @@ std::vector<Sample> Controller::EvaluateBatch(
       clone_ids[l] = actors_[actor_of[l]]->clone_id();
     }
 
+    // Each lane runs on its own actor and writes only outcomes[l]; with a
+    // pool, this thread stress-tests lanes alongside the workers.
     std::vector<Actor::AttemptOutcome> outcomes(lanes);
+    const auto attempt = [&](size_t l) {
+      outcomes[l] = actors_[actor_of[l]]->Attempt(
+          normalized_configs[items[l].index], workload_, defaults);
+    };
     if (pool_ != nullptr) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(lanes);
-      for (size_t l = 0; l < lanes; ++l) {
-        Actor* actor = actors_[actor_of[l]].get();
-        const std::vector<double>* config =
-            &normalized_configs[items[l].index];
-        Actor::AttemptOutcome* out = &outcomes[l];
-        futures.push_back(pool_->Submit([actor, config, out, &defaults, this] {
-          *out = actor->Attempt(*config, workload_, defaults);
-        }));
-      }
-      for (auto& future : futures) future.get();
+      pool_->ParallelFor(lanes, attempt);
     } else {
-      for (size_t l = 0; l < lanes; ++l) {
-        outcomes[l] = actors_[actor_of[l]]->Attempt(
-            normalized_configs[items[l].index], workload_, defaults);
-      }
+      for (size_t l = 0; l < lanes; ++l) attempt(l);
     }
     // Sweep pool stats before any permanent death swaps an actor out (its
     // final attempt must still be counted).

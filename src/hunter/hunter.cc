@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "cdb/metric_catalog.h"
 #include "linalg/simd/simd.h"
 
 namespace hunter::core {
@@ -20,6 +21,7 @@ HunterTuner::HunterTuner(const cdb::KnobCatalog* catalog, Rules rules,
 
 void HunterTuner::BindObservability(obs::Journal* journal) {
   journal_ = journal;
+  executor_ = journal != nullptr ? journal->executor() : nullptr;
   obs::MetricsRegistry* registry =
       journal != nullptr ? journal->registry() : nullptr;
   if (registry == nullptr) return;
@@ -115,7 +117,7 @@ void HunterTuner::MaybeTransitionToRecommend() {
   // Phase 2: optimize the search space over the whole Shared Pool.
   const std::vector<controller::Sample> snapshot = pool_.Snapshot();
   const OptimizedSpace space = SearchSpaceOptimizer::Optimize(
-      snapshot, *catalog_, rules_, options_.optimizer, &rng_);
+      snapshot, *catalog_, rules_, options_.optimizer, &rng_, executor_);
   if (sso_refreshes_counter_ != nullptr) {
     sso_refreshes_counter_->Increment();
     journal_->tracer().Event(
@@ -144,13 +146,40 @@ std::optional<HunterModel> HunterTuner::ExportModel() const {
   return model;
 }
 
-void HunterTuner::ImportModel(const HunterModel& model) {
+bool HunterTuner::ImportModel(const HunterModel& model) {
+  // Bound both dimensions before any arithmetic on them: the state is the
+  // raw metric vector or its projection onto some of the PCA's components,
+  // and the action is a set of catalog knobs.
+  const OptimizedSpace& space = model.space;
+  const size_t state_dim = space.state_dim;
+  const bool state_fits =
+      space.use_pca ? space.pca.input_dim() == cdb::kNumMetrics &&
+                          state_dim >= 1 && state_dim <= cdb::kNumMetrics
+                    : state_dim == cdb::kNumMetrics;
+  const size_t action_dim = space.selected_knobs.size();
+  if (!state_fits || action_dim == 0 || action_dim > catalog_->size()) {
+    return false;
+  }
+  for (size_t knob : space.selected_knobs) {
+    if (knob >= catalog_->size()) return false;
+  }
+  if (!model.base_config.empty() &&
+      model.base_config.size() != catalog_->size()) {
+    return false;
+  }
+  ml::DdpgOptions ddpg = options_.recommender.ddpg;
+  ddpg.state_dim = state_dim;
+  ddpg.action_dim = action_dim;
+  if (model.ddpg_parameters.size() != ml::Ddpg::ParameterCount(ddpg)) {
+    return false;
+  }
   recommender_ = std::make_unique<Recommender>(
       catalog_, &rules_, model.space, options_.recommender, rng_.NextU64());
   recommender_->LoadModel(model.ddpg_parameters);
   // Fine-tuning starts from the imported incumbent; no Sample Factory run.
   recommender_->WarmStart({}, model.base_config);
   phase_ = Phase::kRecommend;
+  return true;
 }
 
 void ModelRegistry::Store(const HunterModel& model) {

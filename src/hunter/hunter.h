@@ -72,7 +72,9 @@ class HunterTuner : public tuners::Tuner {
   std::vector<std::vector<double>> Propose(size_t count) override;
   void Observe(const std::vector<controller::Sample>& samples) override;
   // Registers hunter.* metric series (GA generations, search-space
-  // refreshes, DDPG train steps, pool size) and emits phase events.
+  // refreshes, DDPG train steps, pool size) and emits phase events. Also
+  // takes the journal's executor, on which the Search Space Optimizer fits
+  // its forest.
   void BindObservability(obs::Journal* journal) override;
 
   enum class Phase { kSampleFactory, kRecommend };
@@ -86,8 +88,15 @@ class HunterTuner : public tuners::Tuner {
 
   // §4 model reuse: exports the trained Recommender; importing one skips
   // the Sample Factory and Optimizer entirely and fine-tunes instead.
+  // ImportModel refuses (returns false, tuner unchanged) a model whose
+  // shapes do not fit this catalog and recommender: a state other than the
+  // 63 metrics or a PCA projection of them, no selected knob or one outside
+  // the catalog, an incumbent of the wrong length, or a parameter count
+  // other than the one the state, the selected knobs and the DDPG hidden
+  // widths imply. The checks are arithmetic, so a hostile size is refused
+  // before anything is allocated.
   std::optional<HunterModel> ExportModel() const;
-  void ImportModel(const HunterModel& model);
+  bool ImportModel(const HunterModel& model);
 
  private:
   void MaybeTransitionToRecommend();
@@ -107,6 +116,7 @@ class HunterTuner : public tuners::Tuner {
   // Observability (null until BindObservability; instruments live in the
   // journal's registry).
   obs::Journal* journal_ = nullptr;
+  common::ThreadPool* executor_ = nullptr;  // the run's pool; not owned
   obs::Counter* ga_generations_counter_ = nullptr;
   obs::Counter* sso_refreshes_counter_ = nullptr;
   obs::Counter* ddpg_train_steps_counter_ = nullptr;

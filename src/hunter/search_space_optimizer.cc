@@ -30,7 +30,8 @@ std::string OptimizedSpace::Signature() const {
 OptimizedSpace SearchSpaceOptimizer::Optimize(
     const std::vector<controller::Sample>& pool,
     const cdb::KnobCatalog& catalog, const Rules& rules,
-    const OptimizerOptions& options, common::Rng* rng) {
+    const OptimizerOptions& options, common::Rng* rng,
+    common::ThreadPool* executor) {
   OptimizedSpace space;
   const std::vector<size_t> tunable = rules.TunableKnobs(catalog);
 
@@ -60,7 +61,7 @@ OptimizedSpace SearchSpaceOptimizer::Optimize(
       y[r] = pool[r].fitness;
     }
     ml::RandomForest forest;
-    forest.Fit(x, y, options.forest, rng);
+    forest.Fit(x, y, options.forest, rng, executor);
     const std::vector<size_t> ranking = forest.RankFeatures();
     const size_t keep = std::min(options.top_knobs, tunable.size());
     space.selected_knobs.reserve(keep);

@@ -13,6 +13,7 @@
 
 #include "cdb/knob.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "controller/sample.h"
 #include "hunter/rules.h"
 #include "ml/pca.h"
@@ -50,11 +51,14 @@ class SearchSpaceOptimizer {
   // (knobs -> fitness); boot-failed samples are excluded from PCA (their
   // metrics are meaningless) but kept for the forest (the failure is real
   // signal about those knobs). Only `rules`-tunable knobs are eligible.
+  // With an `executor`, the forest's trees fit on it; the space is
+  // bit-identical either way.
   static OptimizedSpace Optimize(const std::vector<controller::Sample>& pool,
                                  const cdb::KnobCatalog& catalog,
                                  const Rules& rules,
                                  const OptimizerOptions& options,
-                                 common::Rng* rng);
+                                 common::Rng* rng,
+                                 common::ThreadPool* executor = nullptr);
 };
 
 }  // namespace hunter::core

@@ -28,6 +28,16 @@ std::vector<double> Concat(const std::vector<double>& a,
   return merged;
 }
 
+// Weights plus biases of an MLP with these layer widths, as
+// Mlp::SaveParameters lays them out.
+size_t MlpParameterCount(const std::vector<size_t>& sizes) {
+  size_t count = 0;
+  for (size_t l = 0; l + 1 < sizes.size(); ++l) {
+    count += sizes[l] * sizes[l + 1] + sizes[l + 1];
+  }
+  return count;
+}
+
 // Maps tanh output in [-1,1] to the normalized knob space [0,1].
 std::vector<double> TanhToUnit(const std::vector<double>& tanh_out) {
   std::vector<double> unit(tanh_out.size());
@@ -174,6 +184,14 @@ std::vector<double> Ddpg::SaveParameters() const {
   const std::vector<double> critic_params = critic_.SaveParameters();
   params.insert(params.end(), critic_params.begin(), critic_params.end());
   return params;
+}
+
+size_t Ddpg::ParameterCount(const DdpgOptions& options) {
+  return MlpParameterCount(BuildSizes(options.state_dim,
+                                      options.actor_hidden,
+                                      options.action_dim)) +
+         MlpParameterCount(BuildSizes(options.state_dim + options.action_dim,
+                                      options.critic_hidden, 1));
 }
 
 void Ddpg::LoadParameters(const std::vector<double>& params) {

@@ -61,6 +61,9 @@ class Ddpg {
 
   // Serializes actor+critic parameters for the model-reuse schemes (§4).
   std::vector<double> SaveParameters() const;
+  // Length of SaveParameters() for an agent built from `options`, computed
+  // without building it.
+  static size_t ParameterCount(const DdpgOptions& options);
   void LoadParameters(const std::vector<double>& params);
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <numeric>
 
 namespace hunter::ml {
@@ -43,13 +42,8 @@ void RandomForest::Fit(const linalg::Matrix& x, const std::vector<double>& y,
     trees_[t].FitIndices(x, y, bootstrap, tree_options, &tree_rng, &presort);
   };
 
-  if (pool != nullptr && pool->num_threads() > 1 && trees_.size() > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(trees_.size());
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      futures.push_back(pool->Submit([&fit_tree, t] { fit_tree(t); }));
-    }
-    for (auto& future : futures) future.get();
+  if (pool != nullptr) {
+    pool->ParallelFor(trees_.size(), fit_tree);
   } else {
     for (size_t t = 0; t < trees_.size(); ++t) fit_tree(t);
   }

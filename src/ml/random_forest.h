@@ -32,8 +32,9 @@ class RandomForest {
   // front, in tree order, so the result depends only on the incoming RNG
   // state — with a `pool` the trees fit in parallel and the forest is still
   // bit-identical to the serial fit, regardless of scheduling (the same
-  // determinism discipline as controller::FaultInjector). Passing nullptr
-  // (or a single-threaded pool) fits serially.
+  // determinism discipline as controller::FaultInjector). The trees fit on
+  // the pool's workers plus the calling thread (ThreadPool::ParallelFor);
+  // passing nullptr fits serially.
   void Fit(const linalg::Matrix& x, const std::vector<double>& y,
            const RandomForestOptions& options, common::Rng* rng,
            common::ThreadPool* pool = nullptr);

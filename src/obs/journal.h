@@ -30,6 +30,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
+namespace hunter::common {
+class ThreadPool;
+}  // namespace hunter::common
+
 namespace hunter::obs {
 
 inline constexpr char kJournalSchema[] = "hunter.journal.v1";
@@ -62,6 +66,14 @@ class Journal {
   Tracer& tracer() { return tracer_; }
   MetricsRegistry* registry() const { return registry_; }
 
+  // The run's thread pool, for tuner-side parallel sections (the Random
+  // Forest's trees); null when the run has none. Not owned. It rides on the
+  // journal because the journal is the one run-scoped object every tuner
+  // decorator forwards (Tuner::BindObservability). Never written to the
+  // journal's bytes.
+  common::ThreadPool* executor() const { return executor_; }
+  void set_executor(common::ThreadPool* executor) { executor_ = executor; }
+
   // Appends a snapshot of every registered metric, stamped with the current
   // simulated time. No-op (recorded as an empty snapshot) without a registry.
   void SnapshotMetrics(const std::string& label);
@@ -84,6 +96,7 @@ class Journal {
   std::vector<Attr> meta_;
   std::vector<Record> records_;
   Tracer tracer_;
+  common::ThreadPool* executor_ = nullptr;
 };
 
 // A journal read back from disk; shares the Record representation with the

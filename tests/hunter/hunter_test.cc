@@ -1,11 +1,14 @@
 #include "hunter/hunter.h"
 
 #include <memory>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "cdb/knob_catalog.h"
 #include "controller/controller.h"
+#include "cdb/metric_catalog.h"
+#include "hunter/model_io.h"
 #include "hunter/recommender.h"
 #include "workload/workloads.h"
 
@@ -170,13 +173,74 @@ TEST_F(HunterTest, ModelReuseRoundTrip) {
 
   // A fresh HUNTER imports the model and skips straight to recommending.
   HunterTuner student(&catalog_, Rules(), FastOptions(), 14);
-  student.ImportModel(*model);
+  ASSERT_TRUE(student.ImportModel(*model));
   EXPECT_EQ(student.phase(), HunterTuner::Phase::kRecommend);
   auto controller2 = MakeController(1);
   const auto proposals = student.Propose(2);
   ASSERT_EQ(proposals.size(), 2u);
   const auto samples = controller2->EvaluateBatch(proposals);
   EXPECT_FALSE(samples[0].boot_failed);
+}
+
+// A model shaped for this catalog and FastOptions' recommender: the raw
+// metric vector as state, three knobs, and the parameters of a real network.
+HunterModel FittingModel(const cdb::KnobCatalog& catalog,
+                         const RecommenderOptions& options) {
+  HunterModel model;
+  model.space.state_dim = cdb::kNumMetrics;
+  model.space.use_pca = false;
+  model.space.selected_knobs = {0, 5, 9};
+  Rules rules;
+  Recommender recommender(&catalog, &rules, model.space, options, 1);
+  model.ddpg_parameters = recommender.SaveModel();
+  model.base_config.assign(catalog.size(), 0.5);
+  model.signature = model.space.Signature();
+  return model;
+}
+
+TEST_F(HunterTest, ImportModelRefusesHostileStateDimWithoutAllocating) {
+  // A saved model without a PCA loads with any decimal state_dim; sizing
+  // the recommender's networks from this one would ask for ~10^16 doubles.
+  HunterModel hostile;
+  hostile.space.state_dim = 100000000000000;
+  hostile.space.use_pca = false;
+  hostile.space.selected_knobs = {0, 1};
+  hostile.ddpg_parameters = {0.5};
+  hostile.signature = hostile.space.Signature();
+  std::stringstream stream;
+  ASSERT_TRUE(SaveModel(hostile, stream));
+  HunterModel loaded;
+  ASSERT_TRUE(LoadModel(stream, &loaded));
+
+  HunterTuner tuner(&catalog_, Rules(), FastOptions(), 15);
+  bool imported = true;
+  EXPECT_NO_THROW(imported = tuner.ImportModel(loaded));
+  EXPECT_FALSE(imported);
+  EXPECT_EQ(tuner.phase(), HunterTuner::Phase::kSampleFactory);
+  EXPECT_EQ(tuner.recommender(), nullptr);
+}
+
+TEST_F(HunterTest, ImportModelChecksShapesAgainstCatalogAndRecommender) {
+  const HunterOptions options = FastOptions();
+  const HunterModel fits = FittingModel(catalog_, options.recommender);
+
+  std::vector<HunterModel> misfits(6, fits);
+  misfits[0].ddpg_parameters.pop_back();        // one parameter short
+  misfits[1].ddpg_parameters.push_back(0.0);    // one parameter over
+  misfits[2].space.selected_knobs.back() = catalog_.size();  // no such knob
+  misfits[3].space.state_dim = cdb::kNumMetrics + 1;  // not the metric vector
+  misfits[4].space.selected_knobs.clear();      // no action
+  misfits[5].base_config.pop_back();            // incumbent of wrong length
+  for (size_t m = 0; m < misfits.size(); ++m) {
+    HunterTuner tuner(&catalog_, Rules(), options, 16);
+    EXPECT_FALSE(tuner.ImportModel(misfits[m])) << "misfit " << m;
+    EXPECT_EQ(tuner.recommender(), nullptr) << "misfit " << m;
+  }
+
+  HunterTuner tuner(&catalog_, Rules(), options, 16);
+  ASSERT_TRUE(tuner.ImportModel(fits));
+  EXPECT_EQ(tuner.phase(), HunterTuner::Phase::kRecommend);
+  EXPECT_EQ(tuner.recommender()->SaveModel(), fits.ddpg_parameters);
 }
 
 TEST_F(HunterTest, ModelRegistryMatchesBySignature) {

@@ -117,6 +117,19 @@ TEST(DdpgTest, SaveLoadRoundTripPreservesPolicy) {
   EXPECT_EQ(a.Act(state), b.Act(state));
 }
 
+TEST(DdpgTest, ParameterCountMatchesSavedLength) {
+  DdpgOptions uneven = SmallOptions();
+  uneven.state_dim = 13;
+  uneven.action_dim = 20;
+  uneven.actor_hidden = {64, 32, 8};
+  uneven.critic_hidden = {5};
+  for (const DdpgOptions& options : {SmallOptions(), uneven}) {
+    common::Rng rng(3);
+    const Ddpg agent(options, &rng);
+    EXPECT_EQ(Ddpg::ParameterCount(options), agent.SaveParameters().size());
+  }
+}
+
 TEST(DdpgTest, DeterministicGivenSeed) {
   auto build_and_train = [](uint64_t seed) {
     common::Rng rng(seed);

@@ -1,7 +1,8 @@
 // Determinism contract of the pool-parallel RandomForest::Fit: per-tree
 // RNGs are forked up front in tree order, so the fitted forest must be
-// bit-identical to the serial fit at every thread count (the same
-// discipline the controller's FaultInjector follows). Runs under the
+// bit-identical to the serial fit at every pool width, 1 included (the
+// calling thread fits trees alongside the workers; the same discipline the
+// controller's FaultInjector follows). Runs under the
 // `concurrency` ctest label so sanitizer configurations exercise it.
 
 #include <cmath>
@@ -73,7 +74,9 @@ TEST(ForestParallelTest, ParallelFitBitIdenticalToSerial) {
   }
 }
 
-TEST(ForestParallelTest, SingleThreadPoolTakesSerialPath) {
+TEST(ForestParallelTest, SingleThreadPoolFitIsBitIdenticalToSerial) {
+  // A 1-thread pool is no longer a serial fallback: its worker and the
+  // calling thread fit the trees together.
   linalg::Matrix x;
   std::vector<double> y;
   MakeData(40, 6, &x, &y);
@@ -88,6 +91,11 @@ TEST(ForestParallelTest, SingleThreadPoolTakesSerialPath) {
   common::Rng rng(7);
   pooled.Fit(x, y, SmallForest(), &rng, &pool);
   EXPECT_EQ(pooled.feature_importance(), serial.feature_importance());
+  EXPECT_EQ(pooled.RankFeatures(), serial.RankFeatures());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const std::vector<double> row = x.Row(r);
+    EXPECT_EQ(pooled.Predict(row), serial.Predict(row)) << "row=" << r;
+  }
 }
 
 TEST(ForestParallelTest, FitIndicesWithIdentityMatchesFit) {

@@ -917,6 +917,13 @@ TEST(FixtureTest, NakedThread) {
                                    {"no-naked-thread", 10}}));
 }
 
+TEST(FixtureTest, PoolSubmit) {
+  EXPECT_EQ(
+      RulesAndLines(LintFixture("violations/src/controller/pool_submit.cc")),
+      (std::vector<RuleLine>{{"parallel-for-only", 9},
+                             {"parallel-for-only", 10}}));
+}
+
 TEST(FixtureTest, UnorderedEmit) {
   EXPECT_EQ(RulesAndLines(LintFixture("violations/unordered_emit.cc")),
             (std::vector<RuleLine>{{"no-unordered-iteration-emit", 12}}));
@@ -987,7 +994,7 @@ TEST(FixtureTest, DeadlockOrder) {
 TEST(FixtureTest, CleanDirectoryIsClean) {
   const std::vector<std::string> files =
       CollectFiles(HUNTERLINT_TESTDATA_DIR, {"clean"});
-  ASSERT_EQ(files.size(), 5u);
+  ASSERT_EQ(files.size(), 6u);
   const std::vector<Violation> vs =
       LintTree(HUNTERLINT_TESTDATA_DIR, files);
   EXPECT_TRUE(vs.empty()) << FormatViolation(vs.front());

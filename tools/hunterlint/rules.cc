@@ -194,6 +194,36 @@ void CheckNakedThread(const FileCtx& ctx, std::vector<Violation>* out) {
 }
 
 // ---------------------------------------------------------------------------
+// parallel-for-only
+
+// Library code forks work through ThreadPool::ParallelFor, where the calling
+// thread is one of the workers and joins every helper before it returns. A
+// `.Submit(` / `->Submit(` member call (ThreadPool is the only class in
+// src/ with one) would reintroduce a second, future-based fork-join path,
+// so it is legal only inside src/common/, where the pool lives. The
+// directory scope is substring-matched so fixtures that mirror the tree
+// under testdata/ stay in scope; tests and benches may still Submit.
+void CheckParallelForOnly(const FileCtx& ctx, std::vector<Violation>* out) {
+  if (ctx.rel_path.find("src/") == std::string::npos ||
+      ctx.rel_path.find("src/common/") != std::string::npos) {
+    return;
+  }
+  const TokenVec& toks = ctx.lex->tokens;
+  for (size_t i = 1; i < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdentifier || toks[i].text != "Submit") {
+      continue;
+    }
+    const std::string& prev = toks[i - 1].text;
+    if ((prev == "." || prev == "->") && TokText(toks, i + 1) == "(") {
+      out->push_back({"parallel-for-only", ctx.rel_path, toks[i].line,
+                      "ThreadPool::Submit outside src/common/ — parallel "
+                      "sections in src/ fork-join through "
+                      "ThreadPool::ParallelFor"});
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // no-unordered-iteration-emit
 
 const std::unordered_set<std::string>& UnorderedContainerTypes() {
@@ -535,6 +565,7 @@ const std::vector<std::string>& AllRuleNames() {
       "no-wall-clock",
       "no-unseeded-rng",
       "no-naked-thread",
+      "parallel-for-only",
       "no-unordered-iteration-emit",
       "journal-emit-through-obs",
       "no-matrix-row-copy-in-loop",
@@ -562,6 +593,10 @@ std::string RuleDescription(const std::string& rule) {
   if (rule == "no-naked-thread") {
     return "bans std::thread/std::async outside common/thread_pool.* "
            "(parallelism flows through common::ThreadPool)";
+  }
+  if (rule == "parallel-for-only") {
+    return "bans ThreadPool::Submit calls in src/ outside src/common/ "
+           "(parallel sections fork-join through ThreadPool::ParallelFor)";
   }
   if (rule == "no-unordered-iteration-emit") {
     return "flags range-for over unordered containers in files that "
@@ -621,6 +656,7 @@ std::vector<Violation> RunRules(const FileCtx& ctx) {
   CheckWallClock(ctx, &out);
   CheckUnseededRng(ctx, &out);
   CheckNakedThread(ctx, &out);
+  CheckParallelForOnly(ctx, &out);
   CheckUnorderedIterationEmit(ctx, &out);
   CheckJournalEmit(ctx, &out);
   CheckNoMatrixRowCopyInLoop(ctx, &out);

@@ -7,6 +7,8 @@
 //   no-wall-clock              all time flows through common::SimClock
 //   no-unseeded-rng            all randomness flows through common::Rng
 //   no-naked-thread            all parallelism flows through common::ThreadPool
+//   parallel-for-only          src/ outside src/common/ forks work through
+//                              ThreadPool::ParallelFor, never Submit
 //   no-unordered-iteration-emit  files that produce ordered output must not
 //                              range-for over unordered containers
 //   no-matrix-row-copy-in-loop  ml/linalg hot loops must not call the
